@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import chain, extraction, pose_net, robots
 from . import topology as tp
 from .completion import complete, is_unique_completion
@@ -24,7 +22,13 @@ from .errors import (
     SchemaError,
     TrainingDivergedError,
 )
-from .pipeline import ExperimentManifest, load_manifest, run_pipeline, train_sensor
+from .pipeline import (
+    ExperimentManifest,
+    _extraction_thetas,
+    load_manifest,
+    run_pipeline,
+    train_sensor,
+)
 
 EXIT_SCHEMA = 2
 EXIT_NOT_A_TREE = 3
@@ -90,15 +94,11 @@ def cmd_train(args) -> int:
 
 def cmd_extract(args) -> int:
     spec = chain.load_robot(args.spec)
-    rng = np.random.default_rng(args.seed)
+    samples = None
     if args.nets_dir:
         if not args.traj:
             raise SchemaError("--nets-dir requires --traj to sample configurations")
         samples, _ = chain.load_trajectory(args.traj)
-        idx = rng.choice(
-            len(samples), size=min(args.theta_samples, len(samples)), replace=False
-        )
-        thetas = [samples[i].theta for i in sorted(idx)]
         jac_fns = {}
         for sid in spec.sensor_ids:
             net = pose_net.load_net(
@@ -106,14 +106,16 @@ def cmd_extract(args) -> int:
             )
             jac_fns[sid] = lambda th, net=net: pose_net.pose_jacobian(net, th)
     else:
-        thetas = [
-            rng.uniform(-np.pi, np.pi, spec.n_joints)
-            for _ in range(args.theta_samples)
-        ]
         jac_fns = {
             sid: (lambda th, s=sid: chain.analytic_jacobian(spec, th, s))
             for sid in spec.sensor_ids
         }
+    # the same sampling rule as ``run`` for this seed and mode
+    thetas = _extraction_thetas(spec, samples, ExperimentManifest(
+        mode="learned" if args.nets_dir else "oracle-fk",
+        seed=args.seed,
+        theta_samples=args.theta_samples,
+    ))
     features, labels = [], []
     for sid, jac_fn in sorted(jac_fns.items()):
         dprime = extraction.feature_raw(

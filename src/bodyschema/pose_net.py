@@ -130,16 +130,12 @@ class TrainConfig:
     ts: float = 0.01
     gravity: bool = True
     gravity_vector: tuple = (0.0, 0.0, -9.8)
-    derivative_mode: str = "analytic"  # or "fd"
-    fd_step: float = 1e-4
     momentum: float = 0.0
     optimizer: str = "sgd"  # "adam" available for badly conditioned losses
 
     def __post_init__(self):
         if self.ts <= 0:
             raise ValueError("ts must be positive")
-        if self.derivative_mode == "fd" and self.fd_step <= 0:
-            raise ValueError("fd step must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -154,28 +150,33 @@ def _sigmoid(a):
 
 
 def _axis_rot_batch(axis: int, ang: np.ndarray):
-    """(A, A', A'') for a single-axis rotation, batched over angles."""
-    b = ang.shape[0]
+    """(A, A', A'') for a single-axis rotation, batched over angles.
+
+    Entries are written in place, so each matrix equals ``rm.rot_x`` /
+    ``rot_y`` / ``rot_z`` (or its angle derivatives) bit for bit."""
     c, s = np.cos(ang), np.sin(ang)
-    zero = np.zeros(b)
-    one = np.ones(b)
-
-    def m(rows):
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    if axis == 0:  # roll
-        a0 = m([[one, zero, zero], [zero, c, -s], [zero, s, c]])
-        a1 = m([[zero, zero, zero], [zero, -s, -c], [zero, c, -s]])
-        a2 = m([[zero, zero, zero], [zero, -c, s], [zero, -s, -c]])
-    elif axis == 1:  # pitch
-        a0 = m([[c, zero, s], [zero, one, zero], [-s, zero, c]])
-        a1 = m([[-s, zero, c], [zero, zero, zero], [-c, zero, -s]])
-        a2 = m([[-c, zero, -s], [zero, zero, zero], [s, zero, -c]])
-    else:  # yaw
-        a0 = m([[c, -s, zero], [s, c, zero], [zero, zero, one]])
-        a1 = m([[-s, -c, zero], [c, -s, zero], [zero, zero, zero]])
-        a2 = m([[-c, s, zero], [-s, -c, zero], [zero, zero, zero]])
+    nc, ns = -c, -s
+    a0, a1, a2 = np.zeros((3, ang.shape[0], 3, 3))
+    # the rotation turns the (i, j) plane: (y, z) for roll, (z, x) for
+    # pitch, (x, y) for yaw
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    a0[:, axis, axis] = 1.0
+    a0[:, i, i] = a0[:, j, j] = c
+    a0[:, i, j], a0[:, j, i] = ns, s
+    a1[:, i, i] = a1[:, j, j] = ns
+    a1[:, i, j], a1[:, j, i] = nc, c
+    a2[:, i, i] = a2[:, j, j] = nc
+    a2[:, i, j], a2[:, j, i] = s, ns
     return a0, a1, a2
+
+
+def _rpy_batch(ang: np.ndarray) -> np.ndarray:
+    """``rm.rpy_matrix`` of each row of ang, with the same product order."""
+    return (
+        _axis_rot_batch(2, ang[:, 2])[0]
+        @ _axis_rot_batch(1, ang[:, 1])[0]
+        @ _axis_rot_batch(0, ang[:, 0])[0]
+    )
 
 
 def _hat_batch(v: np.ndarray) -> np.ndarray:
@@ -468,7 +469,7 @@ def _batch_loss_and_grads(
         + fc1[:, None, None] * k_mat
         + fc2[:, None, None] * k2_mat
     )
-    r2 = np.stack([rm.rpy_matrix(beta[i] * ts) for i in range(bsz)])
+    r2 = _rpy_batch(beta * ts)
     l2 = -np.einsum("bij,bij->b", r1, r2)
 
     mean_loss = float(np.mean(l1 + l2))
@@ -537,8 +538,9 @@ def _batch_loss_and_grads(
     v_bar = b_dd_bar @ wt
 
     grads_hidden = []
-    for (w, _b), cache in zip(reversed(net.hidden), reversed(caches)):
-        x_in, u_in, v_in, p, q, s, s1, s2 = cache
+    for layer in reversed(range(len(net.hidden))):
+        w = net.hidden[layer][0]
+        x_in, u_in, v_in, p, q, s, s1, s2 = caches[layer]
         s3 = s1 * (1.0 - 6.0 * s + 6.0 * s * s)
         a_bar = x_bar * s1 + u_bar * s2 * p + v_bar * (s3 * p * p + s2 * q)
         p_bar = u_bar * s1 + v_bar * 2.0 * s2 * p
@@ -546,9 +548,10 @@ def _batch_loss_and_grads(
         w_grad = a_bar.T @ x_in + p_bar.T @ u_in + q_bar_l.T @ v_in
         b_grad = a_bar.sum(axis=0)
         grads_hidden.append((w_grad, b_grad))
-        x_bar = a_bar @ w
-        u_bar = p_bar @ w
-        v_bar = q_bar_l @ w
+        if layer:  # the joint inputs need no adjoint
+            x_bar = a_bar @ w
+            u_bar = p_bar @ w
+            v_bar = q_bar_l @ w
     grads_hidden.reverse()
 
     grads = []

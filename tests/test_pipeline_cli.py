@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bodyschema import chain, cli, robots
+from bodyschema import chain, cli, extraction, pipeline, pose_net, robots
 from bodyschema import topology as tp
 from bodyschema.pipeline import ExperimentManifest, load_manifest, run_pipeline
 
@@ -224,6 +224,56 @@ class TestCli:
         payload = json.loads(out)
         assert payload["exact_match"] is True
         assert (tmp_path / "run" / "report.json").exists()
+
+    @pytest.mark.parametrize("learned", [False, True], ids=["oracle", "nets-dir"])
+    def test_extract_draws_run_configurations(self, tmp_path, monkeypatch, learned):
+        # both paths hand their sampled configurations to tij_aggregate;
+        # record the first hand-off and stop there
+        class Drawn(Exception):
+            pass
+
+        drawn = []
+
+        def spy(jac_fn, thetas, method="second_moment"):
+            drawn.append(np.array(thetas))
+            raise Drawn
+
+        monkeypatch.setattr(extraction, "tij_aggregate", spy)
+        # the configurations do not depend on the nets, so skip training
+        monkeypatch.setattr(
+            pipeline,
+            "train_sensor",
+            lambda spec, samples, sid, manifest: pose_net.TrainResult(
+                pose_net.init_pose_net(spec.n_joints, widths=(4, 4, 4)), 0.0
+            ),
+        )
+        robot = tmp_path / "robot.json"
+        traj = tmp_path / "traj.jsonl"
+        nets = tmp_path / "nets"
+        cli.main(["generate", "--robot", "robot2", "--out", str(robot)])
+        argv = ["extract", "--spec", str(robot), "--theta-samples", "16",
+                "--seed", "5", "--out", str(tmp_path / "matrix.json")]
+        if learned:
+            cli.main(["simulate", "--spec", str(robot), "--duration", "4",
+                      "--rate", "50", "--seed", "5", "--out", str(traj)])
+            nets.mkdir()
+            spec = chain.load_robot(robot)
+            for sid in spec.sensor_ids:
+                pose_net.save_net(
+                    pose_net.init_pose_net(spec.n_joints, widths=(4, 4, 4)),
+                    nets / f"{sid.replace(':', '_')}.json",
+                )
+            argv += ["--traj", str(traj), "--nets-dir", str(nets)]
+        with pytest.raises(Drawn):
+            cli.main(argv)
+        with pytest.raises(Drawn):
+            run_pipeline(ExperimentManifest(
+                robot="robot2", mode="learned" if learned else "oracle-fk",
+                duration=4.0, rate=50.0, seed=5, theta_samples=16,
+            ))
+        staged, fused = drawn
+        assert staged.shape == (16, robots.builtin_robot("robot2").n_joints)
+        assert np.array_equal(staged, fused)
 
     def test_stage_artifacts_chain_like_fused_run(self, tmp_path):
         # feeding each stage's file into the next subcommand matches the

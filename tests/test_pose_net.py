@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,88 @@ class TestTraining:
         )))
         with pytest.raises(ValueError):
             pn.train(pn.init_pose_net(1, seed=0), empty, cfg)
+
+
+def _axis_rot_batch_stacked(axis, ang):
+    """The single-axis rotation triple assembled entry by entry with
+    np.stack; the reference the in-place kernel must reproduce."""
+    c, s = np.cos(ang), np.sin(ang)
+    zero, one = np.zeros(ang.shape[0]), np.ones(ang.shape[0])
+
+    def m(rows):
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+    if axis == 0:
+        return (
+            m([[one, zero, zero], [zero, c, -s], [zero, s, c]]),
+            m([[zero, zero, zero], [zero, -s, -c], [zero, c, -s]]),
+            m([[zero, zero, zero], [zero, -c, s], [zero, -s, -c]]),
+        )
+    if axis == 1:
+        return (
+            m([[c, zero, s], [zero, one, zero], [-s, zero, c]]),
+            m([[-s, zero, c], [zero, zero, zero], [-c, zero, -s]]),
+            m([[-c, zero, -s], [zero, zero, zero], [s, zero, -c]]),
+        )
+    return (
+        m([[c, -s, zero], [s, c, zero], [zero, zero, one]]),
+        m([[-s, -c, zero], [c, -s, zero], [zero, zero, zero]]),
+        m([[-c, s, zero], [-s, -c, zero], [zero, zero, zero]]),
+    )
+
+
+SPECIAL_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi)
+
+
+class TestKernelBitIdentity:
+    """The batched kernel must give the very floats of the per-sample
+    construction, so trained nets do not drift; compared exactly."""
+
+    def test_axis_rotations_equal_rigid_motion(self):
+        rng = np.random.default_rng(11)
+        ang = np.concatenate([rng.uniform(-7.0, 7.0, 1000), SPECIAL_ANGLES])
+        for axis, rot in enumerate((rm.rot_x, rm.rot_y, rm.rot_z)):
+            got = pn._axis_rot_batch(axis, ang)
+            ref = np.stack([rot(a) for a in ang])
+            assert np.array_equal(got[0], ref)
+            assert np.array_equal(np.signbit(got[0]), np.signbit(ref))
+            for g, r in zip(got, _axis_rot_batch_stacked(axis, ang)):
+                assert np.array_equal(g, r)
+                assert np.array_equal(np.signbit(g), np.signbit(r))
+
+    def test_target_rotation_equals_rpy_matrix(self):
+        rng = np.random.default_rng(12)
+        for ts in (0.01, 1.0):
+            beta = np.concatenate([
+                rng.normal(scale=3.0, size=(500, 3)),
+                np.array(list(itertools.product(SPECIAL_ANGLES, repeat=3))) / ts,
+            ])
+            got = pn._rpy_batch(beta * ts)
+            ref = np.stack([rm.rpy_matrix(b * ts) for b in beta])
+            assert np.array_equal(got, ref)
+
+    def test_training_equals_per_sample_reference(self, monkeypatch):
+        spec = robots.builtin_robot("robot2", sensors_per_link=1)
+        samples = chain.add_noise(
+            chain.gen_trajectory(spec, duration=5.0, rate=100, seed=3), 0.05, 0.01, 3
+        )
+        dataset = pn.SensorDataset.from_samples(samples, spec.sensor_ids[-1])
+        # a long sample period keeps R2 far from the identity, where a
+        # last-bit change in it would reach the parameters
+        cfg = pn.TrainConfig(
+            learning_rate=0.01, epochs=3, seed=4, ts=1.0, optimizer="adam"
+        )
+        net = pn.init_pose_net(spec.n_joints, widths=(16, 16, 16), seed=5)
+        fast = pn.train(net, dataset, cfg)
+        monkeypatch.setattr(pn, "_axis_rot_batch", _axis_rot_batch_stacked)
+        monkeypatch.setattr(
+            pn, "_rpy_batch", lambda ang: np.stack([rm.rpy_matrix(a) for a in ang])
+        )
+        ref = pn.train(net, dataset, cfg)
+        for pf, pr in zip(fast.net.params(), ref.net.params()):
+            assert np.array_equal(pf, pr)
+        assert fast.epoch_losses == ref.epoch_losses
+        assert fast.final_loss == ref.final_loss
 
 
 class TestSerialization:
