@@ -31,8 +31,6 @@ def main() -> int:
         manifest = ExperimentManifest(robot=name, mode=args.mode, seed=args.seed)
         if args.duration is not None:
             manifest.duration = args.duration
-        elif args.mode == "oracle-fk":
-            manifest.duration = 1.0  # the oracle path never reads the samples
         if args.out:
             manifest.out_dir = str(Path(args.out) / name)
         report = run_pipeline(manifest)

@@ -20,8 +20,6 @@ from scipy.special import digamma
 from .errors import DegenerateSensorError
 from .topology import DependencyMatrix
 
-DEFAULT_DELTA_GRID = np.linspace(0.02, 0.98, 50)
-
 
 def tij(jac_fn, theta) -> np.ndarray:
     """Transform-invariant squash of a 12xN pose Jacobian: entry (r, j) is
@@ -31,13 +29,6 @@ def tij(jac_fn, theta) -> np.ndarray:
         raise ValueError(f"expected a 12xN Jacobian, got shape {jac.shape}")
     blocks = jac.reshape(4, 3, -1)
     return np.linalg.norm(blocks, axis=1)
-
-
-def tij_variance(jac_fn, thetas) -> np.ndarray:
-    """Elementwise population variance of the squashed Jacobian over a
-    sample of configurations.  A joint the sensor never depends on keeps an
-    exactly zero column."""
-    return tij_aggregate(jac_fn, thetas, method="variance")
 
 
 def tij_aggregate(jac_fn, thetas, method: str = "second_moment") -> np.ndarray:
@@ -223,23 +214,29 @@ def cluster_rows(
     return _finalize_clusters(x, labels)
 
 
-def reduce_rows(clusters: ClusterResult, max_rows: int) -> list[np.ndarray]:
-    """Keep at most ``max_rows`` cluster means, largest clusters first,
-    binarize each at 0.5 and drop duplicates."""
+def reduce_rows(
+    clusters: ClusterResult, max_rows: int
+) -> list[tuple[np.ndarray, list[int]]]:
+    """Keep at most ``max_rows`` cluster means, largest clusters first, and
+    binarize each at 0.5.  Returns ``(row, cluster_indices)`` pairs: the
+    first index is the cluster that kept the row, any later ones are
+    clusters whose mean binarized to the same row."""
     if max_rows < 1:
         raise ValueError("max_rows must be positive")
     order = sorted(
         range(clusters.n_clusters),
         key=lambda k: (-int(clusters.counts[k]), clusters.means[k].tolist()),
     )
-    out: list[np.ndarray] = []
-    seen = set()
+    out: list[tuple[np.ndarray, list[int]]] = []
+    index_of: dict[bytes, int] = {}
     for k in order[:max_rows]:
         row = (clusters.means[k] > 0.5).astype(np.int8)
         key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
+        if key in index_of:
+            out[index_of[key]][1].append(k)
+        else:
+            index_of[key] = len(out)
+            out.append((row, [k]))
     return out
 
 
@@ -259,39 +256,6 @@ def separation_score(rows, clusters: ClusterResult, lam: float) -> float:
     return abs(float(np.linalg.det(s))) / max(m, 1e-12) - lam * float(
         np.sum(p * np.log(p))
     )
-
-
-def optimize_delta(
-    features_raw,
-    delta_grid=None,
-    lam: float = 1.0,
-    alpha: float = 1.0,
-    seed: int = 0,
-    method: str = "vb",
-) -> float:
-    """Pick the threshold that best separates the binarized rows into tight,
-    balanced clusters.  Grid values that leave a single cluster are skipped;
-    ties go to the smaller threshold."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    grid = DEFAULT_DELTA_GRID if delta_grid is None else np.asarray(delta_grid, float)
-    if grid.size == 0:
-        raise ValueError("empty delta grid")
-    feats = [np.asarray(f, dtype=float) for f in features_raw]
-    best_delta = None
-    best_score = -np.inf
-    for delta in grid:
-        rows = [threshold(f, float(delta)) for f in feats]
-        clusters = cluster_rows(rows, alpha=alpha, seed=seed, method=method)
-        if clusters.n_clusters < 2:
-            continue
-        score = separation_score(rows, clusters, lam)
-        if score > best_score:
-            best_score = score
-            best_delta = float(delta)
-    if best_delta is None:
-        raise ValueError("no threshold in the grid produced more than one cluster")
-    return best_delta
 
 
 def build_matrix(features, labels, col_labels) -> DependencyMatrix:

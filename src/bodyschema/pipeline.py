@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -157,8 +158,11 @@ def _majority_label(sensor_ids, spec) -> str:
 
 
 def _assemble_matrix(dprimes: dict[str, np.ndarray], delta, spec, manifest):
-    """Threshold, cluster, reduce and label the per-sensor features."""
-    n = spec.n_joints
+    """Threshold, cluster, reduce and label the per-sensor features.
+
+    Returns the matrix, the cluster purity, the thresholded rows in
+    ``sorted(dprimes)`` order and their clustering (``None`` outside learned
+    mode, where every sensor keeps its own row)."""
     sensor_ids = sorted(dprimes)
     rows = [extraction.threshold(dprimes[s], delta) for s in sensor_ids]
     if manifest.mode == "learned":
@@ -168,39 +172,25 @@ def _assemble_matrix(dprimes: dict[str, np.ndarray], delta, spec, manifest):
             seed=manifest.seed + 3,
             method=manifest.cluster_method,
         )
-        order = sorted(
-            range(clusters.n_clusters),
-            key=lambda k: (-int(clusters.counts[k]), clusters.means[k].tolist()),
-        )
-        features, labels, members = [], [], {}
-        seen: dict[bytes, str] = {}
-        for k in order[:n]:
-            row = (clusters.means[k] > 0.5).astype(np.int8)
-            member_ids = [
-                sensor_ids[i]
-                for i in range(len(sensor_ids))
-                if clusters.assignments[i] == k
+        features, labels, members = [], [], []
+        for row, ks in extraction.reduce_rows(clusters, spec.n_joints):
+            groups = [
+                [s for s, a in zip(sensor_ids, clusters.assignments) if a == k]
+                for k in ks
             ]
-            key = row.tobytes()
-            if key in seen:
-                members[seen[key]].extend(member_ids)
-                continue
-            label = _majority_label(member_ids, spec)
+            label = _majority_label(groups[0], spec)
             while label in labels:
                 label += "+"
-            seen[key] = label
             features.append(row)
             labels.append(label)
-            members[label] = list(member_ids)
+            members.append([s for group in groups for s in group])
         purity_num = sum(
-            max(
-                sum(1 for s in ms if spec.sensor_link(s) == l)
-                for l in {spec.sensor_link(s) for s in ms}
-            )
-            for ms in members.values()
+            Counter(spec.sensor_link(s) for s in ms).most_common(1)[0][1]
+            for ms in members
         )
-        purity = purity_num / max(1, sum(len(ms) for ms in members.values()))
+        purity = purity_num / max(1, sum(len(ms) for ms in members))
     else:
+        clusters = None
         features = rows
         labels = list(sensor_ids)
         purity = 1.0
@@ -213,7 +203,24 @@ def _assemble_matrix(dprimes: dict[str, np.ndarray], delta, spec, manifest):
             matrix = DependencyMatrix(
                 relabeled, matrix.col_labels, matrix.values, matrix.merged_groups
             )
-    return matrix, purity
+    return matrix, purity, rows, clusters
+
+
+def _candidate(dprimes, delta: float, spec, manifest):
+    """The canonical key and separation score of the matrix at ``delta``, or
+    ``(None, -inf)`` when it has one cluster, no nonzero row, or fails the
+    condition set (the partial one when rows are missing)."""
+    try:
+        matrix, _, rows, clusters = _assemble_matrix(dprimes, delta, spec, manifest)
+    except DegenerateSensorError:
+        return None, -np.inf
+    if clusters.n_clusters < 2:
+        return None, -np.inf
+    report = check_conditions(matrix)
+    full = matrix.shape[0] == spec.n_joints
+    if not (report.satisfies_P if full else report.satisfies_Pminus):
+        return None, -np.inf
+    return matrix.canonical_key(), extraction.separation_score(rows, clusters, manifest.lam)
 
 
 def _select_delta(dprimes, spec, manifest: ExperimentManifest) -> float:
@@ -226,43 +233,23 @@ def _select_delta(dprimes, spec, manifest: ExperimentManifest) -> float:
     What does distinguish the right threshold is persistence: the true
     matrix survives over the whole gap between the largest spurious entry
     and the weakest genuine one, while truncation artifacts live on thin
-    slivers.  So candidates are gated by downstream consistency (full
-    condition set, or the partial one when rows are missing), grouped into
-    runs of consecutive thresholds yielding the identical matrix, and the
-    longest run wins -- separation score, then smaller threshold, as tie
-    breaks.  With nothing valid anywhere the mid-band default 0.3 is used.
+    slivers.  So every grid point runs the extraction stage of the full
+    run once (``_assemble_matrix``: threshold, cluster, reduce, label), and
+    its matrix is a candidate when the clustering found at least two
+    clusters and the matrix passes downstream consistency (full condition
+    set, or the partial one when rows are missing).  Consecutive
+    thresholds yielding the identical matrix form a run, and the longest
+    run wins -- the separation score of that same clustering, then the
+    smaller threshold, as tie breaks.  The winning run's first threshold
+    is returned.  With nothing valid anywhere the mid-band default 0.3 is
+    used.
     """
     if manifest.mode != "learned":
         return 0.3  # oracle features are exact; any mid-band value works
     grid = np.linspace(0.02, manifest.delta_grid_max, manifest.delta_grid_size)
-    feats = list(dprimes.values())
-    n = spec.n_joints
-    runs: list[dict] = []  # {key, start_delta, length, score}
+    runs: list[dict] = []  # {key, start, len, score}
     for delta in grid:
-        rows = [extraction.threshold(f, float(delta)) for f in feats]
-        clusters = extraction.cluster_rows(
-            rows,
-            alpha=manifest.alpha_dp,
-            seed=manifest.seed + 3,
-            method=manifest.cluster_method,
-        )
-        key = None
-        score = -np.inf
-        if clusters.n_clusters >= 2:
-            try:
-                matrix, _ = _assemble_matrix(dprimes, float(delta), spec, manifest)
-            except DegenerateSensorError:
-                matrix = None
-            if matrix is not None:
-                report = check_conditions(matrix)
-                ok = (
-                    report.satisfies_P
-                    if matrix.shape[0] == n
-                    else report.satisfies_Pminus
-                )
-                if ok:
-                    key = matrix.canonical_key()
-                    score = extraction.separation_score(rows, clusters, manifest.lam)
+        key, score = _candidate(dprimes, float(delta), spec, manifest)
         if key is None:
             runs.append({"key": None, "start": float(delta), "len": 0, "score": score})
         elif runs and runs[-1]["key"] == key:
@@ -339,18 +326,22 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
     truth_tree = spec.topology
     timings["generate"] = time.perf_counter() - t0
 
+    # only the learned mode reads a trajectory: the oracle draws its
+    # configurations uniformly
     t0 = time.perf_counter()
-    samples = chain.gen_trajectory(
-        spec,
-        mode=manifest.trajectory_mode,
-        duration=manifest.duration,
-        rate=manifest.rate,
-        seed=manifest.seed,
-    )
-    if manifest.mode == "learned" and (manifest.sigma_alpha or manifest.sigma_beta):
-        samples = chain.add_noise(
-            samples, manifest.sigma_alpha, manifest.sigma_beta, seed=manifest.seed
+    samples = None
+    if manifest.mode == "learned":
+        samples = chain.gen_trajectory(
+            spec,
+            mode=manifest.trajectory_mode,
+            duration=manifest.duration,
+            rate=manifest.rate,
+            seed=manifest.seed,
         )
+        if manifest.sigma_alpha or manifest.sigma_beta:
+            samples = chain.add_noise(
+                samples, manifest.sigma_alpha, manifest.sigma_beta, seed=manifest.seed
+            )
     timings["simulate"] = time.perf_counter() - t0
 
     out_dir = Path(manifest.out_dir) if manifest.out_dir else None
@@ -360,8 +351,6 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
 
     t0 = time.perf_counter()
     thetas = _extraction_thetas(spec, samples, manifest)
-    dprimes: dict[str, np.ndarray] = {}
-    skipped: list[str] = []
     if manifest.mode == "learned":
         sensor_ids = list(spec.sensor_ids)
         if manifest.workers > 1:
@@ -381,28 +370,28 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
             results = [
                 train_sensor(spec, samples, sid, manifest) for sid in sensor_ids
             ]
+        jac_fns = {}
         for sid, result in zip(sensor_ids, results):
             if out_dir:
                 (out_dir / "nets").mkdir(exist_ok=True)
                 pose_net.save_net(result.net, out_dir / "nets" / f"{sid.replace(':', '_')}.json")
-            jac_fn = lambda th, net=result.net: pose_net.pose_jacobian(net, th)
-            try:
-                dprimes[sid] = extraction.feature_raw(
-                    extraction.tij_aggregate(jac_fn, thetas, method=manifest.aggregate)
-                )
-            except DegenerateSensorError:
-                skipped.append(sid)
+            jac_fns[sid] = lambda th, net=result.net: pose_net.pose_jacobian(net, th)
     elif manifest.mode == "oracle-fk":
-        for sid in spec.sensor_ids:
-            jac_fn = lambda th, s=sid: chain.analytic_jacobian(spec, th, s)
-            try:
-                dprimes[sid] = extraction.feature_raw(
-                    extraction.tij_aggregate(jac_fn, thetas, method=manifest.aggregate)
-                )
-            except DegenerateSensorError:
-                skipped.append(sid)
+        jac_fns = {
+            sid: (lambda th, s=sid: chain.analytic_jacobian(spec, th, s))
+            for sid in spec.sensor_ids
+        }
     else:
         raise ValueError(f"unknown mode {manifest.mode!r}")
+    dprimes: dict[str, np.ndarray] = {}
+    skipped: list[str] = []
+    for sid, jac_fn in jac_fns.items():
+        try:
+            dprimes[sid] = extraction.feature_raw(
+                extraction.tij_aggregate(jac_fn, thetas, method=manifest.aggregate)
+            )
+        except DegenerateSensorError:
+            skipped.append(sid)
     timings["train_extract"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -410,7 +399,7 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
         delta = manifest.delta
     else:
         delta = _select_delta(dprimes, spec, manifest)
-    matrix, purity = _assemble_matrix(dprimes, delta, spec, manifest)
+    matrix, purity, _, _ = _assemble_matrix(dprimes, delta, spec, manifest)
     if out_dir:
         (out_dir / "matrix.json").write_text(json.dumps(matrix.to_json_dict(), indent=1))
     repaired, completed, unique, corrected, candidates = _repair(matrix, manifest)

@@ -63,18 +63,18 @@ class TestAggregation:
     def test_variance_of_constant_tij_is_zero(self):
         jac = np.ones((12, 3))
         assert np.array_equal(
-            ex.tij_variance(lambda t: jac, [np.zeros(3), np.ones(3)]),
+            ex.tij_aggregate(lambda t: jac, [np.zeros(3), np.ones(3)], method="variance"),
             np.zeros((4, 3)),
         )
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            ex.tij_variance(lambda t: np.zeros((12, 2)), [np.zeros(2)])
+            ex.tij_aggregate(lambda t: np.zeros((12, 2)), [np.zeros(2)], method="variance")
 
     def test_off_path_columns_zero_variance(self, oracle):
         spec, thetas = oracle
         jac_fn = lambda t: chain.analytic_jacobian(spec, t, "l5:0")
-        var = ex.tij_variance(jac_fn, thetas)
+        var = ex.tij_aggregate(jac_fn, thetas, method="variance")
         path = spec.topology.root_path_edges("l5")
         for k, edge in enumerate(spec.joint_order):
             if edge not in path:
@@ -83,8 +83,8 @@ class TestAggregation:
     def test_variance_permutation_invariant(self, oracle):
         spec, thetas = oracle
         jac_fn = lambda t: chain.analytic_jacobian(spec, t, "l3:1")
-        a = ex.tij_variance(jac_fn, thetas)
-        b = ex.tij_variance(jac_fn, list(reversed(thetas)))
+        a = ex.tij_aggregate(jac_fn, thetas, method="variance")
+        b = ex.tij_aggregate(jac_fn, list(reversed(thetas)), method="variance")
         assert np.allclose(a, b)
 
     def test_terminal_joint_variance_collapses_but_moment_does_not(self, oracle):
@@ -94,7 +94,7 @@ class TestAggregation:
         spec, thetas = oracle
         jac_fn = lambda t: chain.analytic_jacobian(spec, t, "l1:0")
         own = spec.joint_order.index("j1")
-        var = ex.tij_variance(jac_fn, thetas)
+        var = ex.tij_aggregate(jac_fn, thetas, method="variance")
         moment = ex.tij_aggregate(jac_fn, thetas, method="second_moment")
         assert var[:, own].max() < 1e-12
         assert moment[:, own].max() > 1e-3
@@ -184,34 +184,38 @@ class TestReduceRows:
         rows = [np.array([1, 0, 0]), np.array([1, 0, 0]), np.array([1, 1, 0])]
         clusters = ex.cluster_rows(rows, method="dpmeans")
         reduced = ex.reduce_rows(clusters, 3)
-        assert sorted(tuple(r) for r in reduced) == [(1, 0, 0), (1, 1, 0)]
+        assert sorted(tuple(r) for r, _ in reduced) == [(1, 0, 0), (1, 1, 0)]
 
     def test_mean_binarization(self):
         clusters = ex.ClusterResult(
             np.array([0, 0]), np.array([[0.9, 0.1, 0.8]]), np.array([2])
         )
-        assert ex.reduce_rows(clusters, 5)[0].tolist() == [1, 0, 1]
+        row, ks = ex.reduce_rows(clusters, 5)[0]
+        assert row.tolist() == [1, 0, 1]
+        assert ks == [0]
 
     def test_row_budget(self):
         rows = [np.eye(4)[k] for k in range(4)]
         clusters = ex.cluster_rows(rows, method="dpmeans")
         assert len(ex.reduce_rows(clusters, 2)) <= 2
 
+    def test_same_binarized_row_merges_cluster_indices(self):
+        # clusters 0 and 2 have different means that both binarize to
+        # [1, 0, 1]; the larger one keeps the row, the other is merged in
+        clusters = ex.ClusterResult(
+            np.array([0, 0, 1, 2, 2, 2]),
+            np.array([[0.9, 0.1, 0.8], [0.0, 1.0, 0.0], [0.6, 0.4, 0.7]]),
+            np.array([2, 1, 3]),
+        )
+        reduced = ex.reduce_rows(clusters, 3)
+        assert [(r.tolist(), ks) for r, ks in reduced] == [
+            ([1, 0, 1], [2, 0]),
+            ([0, 1, 0], [1]),
+        ]
+
 
 class TestOptimizeDelta:
-    def test_separating_range_found(self):
-        # below 0.2 everything binarizes to all-ones (one cluster, skipped);
-        # above 0.8 the groups merge again; in between two clean groups
-        group1 = [np.array([0.9, 0.8, 0.3, 0.2])] * 2
-        group2 = [np.array([0.9, 0.8, 0.7, 0.6])] * 2
-        delta = ex.optimize_delta(
-            group1 + group2, np.linspace(0.05, 0.95, 19), lam=1.0, method="dpmeans"
-        )
-        assert 0.2 < delta < 0.8
-
-    def test_single_element_grid(self):
-        rows = [np.array([0.9, 0.1]), np.array([0.1, 0.9])]
-        assert ex.optimize_delta(rows, [0.5], method="dpmeans") == 0.5
+    """The separation objective that δ selection breaks ties with."""
 
     def test_lambda_zero_drops_entropy_term(self):
         # positive within-cluster dispersion keeps the determinant term small
@@ -228,11 +232,6 @@ class TestOptimizeDelta:
         without = ex.separation_score(rows, clusters, 0.0)
         p = clusters.counts / clusters.counts.sum()
         assert np.isclose(with_ent - without, -float(np.sum(p * np.log(p))))
-
-    def test_no_separating_delta_raises(self):
-        rows = [np.array([0.9, 0.9]), np.array([0.9, 0.9])]
-        with pytest.raises(ValueError):
-            ex.optimize_delta(rows, [0.5], method="dpmeans")
 
 
 class TestTrainedNetInvariance:

@@ -1,9 +1,12 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bodyschema import chain, cli, extraction, pipeline, pose_net, robots
+from bodyschema import chain, cli, correction, extraction, pipeline, pose_net, robots
 from bodyschema import topology as tp
 from bodyschema.pipeline import ExperimentManifest, load_manifest, run_pipeline
 
@@ -92,6 +95,44 @@ class TestPipeline:
         ))
         assert report.completed and not report.unique_completion
         assert report.hamming_to_truth in (0, 2)  # j3/j4 may swap
+
+
+    def test_oracle_run_does_not_simulate(self, short_oracle_manifest, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("oracle mode simulated a trajectory")
+
+        monkeypatch.setattr(chain, "gen_trajectory", no_simulation)
+        report = run_pipeline(short_oracle_manifest)
+        assert report.exact_match
+        assert tp.OutTree.from_json_dict(report.tree) == robots.builtin_robot(
+            "robot3"
+        ).topology
+
+    def test_select_delta_clusters_each_grid_point_once(self, monkeypatch):
+        spec = robots.builtin_robot("robot2")
+        rng = np.random.default_rng(0)
+        thetas = [rng.uniform(-np.pi, np.pi, spec.n_joints) for _ in range(32)]
+        dprimes = {
+            sid: extraction.feature_raw(extraction.tij_aggregate(
+                lambda th, s=sid: chain.analytic_jacobian(spec, th, s),
+                thetas, method="rms",
+            ))
+            for sid in spec.sensor_ids
+        }
+        manifest = ExperimentManifest(robot="robot2", mode="learned")
+        calls = []
+        original = extraction.cluster_rows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(extraction, "cluster_rows", counting)
+        delta = pipeline._select_delta(dprimes, spec, manifest)
+        assert len(calls) == manifest.delta_grid_size
+        matrix, purity, _, _ = pipeline._assemble_matrix(dprimes, delta, spec, manifest)
+        assert tp.matrix_to_tree(matrix) == spec.topology
+        assert purity == 1.0
 
 
 def write_five_node_matrix(path):
@@ -298,3 +339,56 @@ class TestCli:
                 for n, (p, e) in t.parents.items()
             }
         assert edge_parents(staged) == edge_parents(fused_tree)
+
+
+class TestBenchmarkTrace:
+    """The benchmark's tracer patches program names from outside; it must
+    install and remove cleanly, and both modes must report every stage
+    timing the benchmark sums."""
+
+    STAGES = {"simulate", "train_extract", "extract_translate"}
+
+    @pytest.fixture()
+    def tracing(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = Path(__file__).resolve().parents[1] / "schemabench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("schemabench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def patched():
+        return {
+            "check_conditions": pipeline.check_conditions,
+            "hamming": pipeline.hamming,
+            "complete": pipeline.complete,
+            "trellis_correct": pipeline.trellis_correct,
+            "dilation_matrix": correction.dilation_matrix,
+            "gen_trajectory": chain.gen_trajectory,
+            "cluster_rows": extraction.cluster_rows,
+            "from_samples": pose_net.SensorDataset.__dict__["from_samples"],
+        }
+
+    def test_tracer_installs_runs_and_removes(self, tracing):
+        originals = self.patched()
+        oracle = ExperimentManifest(
+            robot="robot5", mode="oracle-fk", duration=1.0, rate=50.0
+        )
+        learned = ExperimentManifest(
+            robot="robot5", mode="learned", duration=1.0, rate=50.0,
+            epochs=1, hidden_width=8, sensors_per_link=1, delta_grid_size=5,
+        )
+        tracer = tracing.Tracer()
+        with tracer:
+            assert self.patched()["check_conditions"] is not originals["check_conditions"]
+            oracle_report = run_pipeline(oracle)
+            assert tracer.calls["chain.gen_trajectory"] == 0
+            learned_report = run_pipeline(learned)
+        assert self.patched() == originals
+        assert oracle_report.exact_match
+        assert self.STAGES <= set(oracle_report.timings)
+        assert self.STAGES <= set(learned_report.timings)
+        assert tracer.calls["chain.gen_trajectory"] == 1
+        assert tracer.calls["extraction.cluster_rows"] == learned.delta_grid_size + 1
+        assert tracer.batches > 0
