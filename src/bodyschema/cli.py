@@ -2,7 +2,7 @@
 plus ``run`` for the fused pipeline driven by a manifest.
 
 Exit codes: 0 success, 2 malformed input file, 3 matrix not translatable or
-completable, 4 diverged training.
+completable, or no sensor row survived, 4 diverged training.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from pathlib import Path
 
 from . import chain, extraction, pose_net, robots
 from . import topology as tp
-from .completion import complete, is_unique_completion
+from .completion import complete, fresh_labels, is_unique_completion
 from .correction import correct_partial, hamming, trellis_correct
 from .errors import (
+    DegenerateSensorError,
     NotATreeError,
     NotCompletableError,
     SchemaError,
@@ -25,8 +26,12 @@ from .errors import (
 from .pipeline import (
     ExperimentManifest,
     _extraction_thetas,
+    jacobian_fns,
     load_manifest,
+    net_file,
     run_pipeline,
+    sensor_features,
+    simulate,
     train_sensor,
 )
 
@@ -47,6 +52,17 @@ def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _manifest(args, manifest: ExperimentManifest | None = None) -> ExperimentManifest:
+    """``manifest`` (default: all defaults) with every given flag whose dest
+    is a manifest field copied over; ``--gravity on|off`` becomes a bool."""
+    if manifest is None:
+        manifest = ExperimentManifest()
+    for name, value in vars(args).items():
+        if name in ExperimentManifest.__dataclass_fields__ and value is not None:
+            setattr(manifest, name, value == "on" if name == "gravity" else value)
+    return manifest
+
+
 def cmd_generate(args) -> int:
     spec = robots.builtin_robot(args.robot, sensors_per_link=args.sensors_per_link)
     chain.save_robot(spec, args.out)
@@ -56,15 +72,7 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = chain.load_robot(args.spec)
-    samples = chain.gen_trajectory(
-        spec,
-        mode=args.trajectory_mode,
-        duration=args.duration,
-        rate=args.rate,
-        seed=args.seed,
-    )
-    if args.sigma_alpha or args.sigma_beta:
-        samples = chain.add_noise(samples, args.sigma_alpha, args.sigma_beta, args.seed)
+    samples = simulate(spec, _manifest(args))
     chain.save_trajectory(samples, spec, args.out)
     print(f"wrote {args.out}: {len(samples)} samples at {args.rate} Hz")
     return 0
@@ -73,20 +81,12 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     spec = chain.load_robot(args.spec)
     samples, _ = chain.load_trajectory(args.traj)
-    manifest = ExperimentManifest(
-        seed=args.seed,
-        rate=args.rate,
-        gravity=args.gravity == "on",
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        hidden_width=args.width,
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _manifest(args)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     sensors = [args.sensor] if args.sensor else list(spec.sensor_ids)
     for sid in sensors:
         result = train_sensor(spec, samples, sid, manifest)
-        path = out_dir / f"{sid.replace(':', '_')}.json"
+        path = net_file(args.out_dir, sid)
         pose_net.save_net(result.net, path)
         print(f"{sid}: final loss {result.final_loss:.4f} -> {path}")
     return 0
@@ -94,35 +94,27 @@ def cmd_train(args) -> int:
 
 def cmd_extract(args) -> int:
     spec = chain.load_robot(args.spec)
-    samples = None
+    manifest = _manifest(args)
+    manifest.mode = "learned" if args.nets_dir else "oracle-fk"
+    samples = nets = None
     if args.nets_dir:
         if not args.traj:
             raise SchemaError("--nets-dir requires --traj to sample configurations")
         samples, _ = chain.load_trajectory(args.traj)
-        jac_fns = {}
-        for sid in spec.sensor_ids:
-            net = pose_net.load_net(
-                Path(args.nets_dir) / f"{sid.replace(':', '_')}.json"
-            )
-            jac_fns[sid] = lambda th, net=net: pose_net.pose_jacobian(net, th)
-    else:
-        jac_fns = {
-            sid: (lambda th, s=sid: chain.analytic_jacobian(spec, th, s))
+        nets = {
+            sid: pose_net.load_net(net_file(args.nets_dir, sid))
             for sid in spec.sensor_ids
         }
     # the same sampling rule as ``run`` for this seed and mode
-    thetas = _extraction_thetas(spec, samples, ExperimentManifest(
-        mode="learned" if args.nets_dir else "oracle-fk",
-        seed=args.seed,
-        theta_samples=args.theta_samples,
-    ))
-    features, labels = [], []
-    for sid, jac_fn in sorted(jac_fns.items()):
-        dprime = extraction.feature_raw(
-            extraction.tij_aggregate(jac_fn, thetas, method=args.aggregate)
-        )
-        features.append(extraction.threshold(dprime, args.delta))
-        labels.append(sid)
+    thetas = _extraction_thetas(spec, samples, manifest)
+    dprimes, skipped = sensor_features(
+        jacobian_fns(spec, nets), thetas, manifest.aggregate
+    )
+    for sid in skipped:
+        print(f"skipped degenerate sensor {sid}", file=sys.stderr)
+    # one row per sensor at the fixed threshold, without clustering
+    labels = sorted(dprimes)
+    features = [extraction.threshold(dprimes[sid], manifest.delta) for sid in labels]
     matrix = extraction.build_matrix(features, labels, spec.joint_order)
     _write_json(args.out, matrix.to_json_dict())
     print(f"wrote {args.out}: {matrix.shape[0]}x{matrix.shape[1]} at delta={args.delta}")
@@ -142,9 +134,9 @@ def cmd_to_tree(args) -> int:
 
 def cmd_complete(args) -> int:
     matrix = _load_matrix(args.matrix)
-    labels = args.labels.split(",") if args.labels else [
-        f"u{i + 1}" for i in range(matrix.shape[1] - matrix.shape[0])
-    ]
+    labels = args.labels.split(",") if args.labels else fresh_labels(
+        matrix.row_labels, matrix.shape[1] - matrix.shape[0]
+    )
     unique = is_unique_completion(matrix)
     full = complete(matrix, labels, seed=args.seed)
     _write_json(args.out, full.to_json_dict())
@@ -179,24 +171,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.manifest:
-        manifest = load_manifest(args.manifest)
-    else:
-        manifest = ExperimentManifest()
-    if args.robot:
-        manifest.robot = args.robot
-    if args.mode:
-        manifest.mode = args.mode
-    if args.seed is not None:
-        manifest.seed = args.seed
-    if args.out:
-        manifest.out_dir = args.out
-    if args.workers is not None:
-        manifest.workers = args.workers
-    if args.delta is not None:
-        manifest.delta = args.delta
-    if args.gravity:
-        manifest.gravity = args.gravity == "on"
+    manifest = _manifest(args, load_manifest(args.manifest) if args.manifest else None)
     report = run_pipeline(manifest)
     print(json.dumps(
         {
@@ -248,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensor", help="train a single sensor (default: all)")
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--width", type=int, default=64, dest="hidden_width")
     p.add_argument("--rate", type=float, default=100.0)
     p.add_argument("--gravity", choices=("on", "off"), default="on")
     p.add_argument("--seed", type=int, default=0)
@@ -295,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robot")
     p.add_argument("--mode", choices=("learned", "oracle-fk"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--out", dest="out_dir")
     p.add_argument("--delta", type=float)
     p.add_argument("--gravity", choices=("on", "off"))
     p.set_defaults(func=cmd_run)
@@ -318,6 +292,9 @@ def main(argv=None) -> int:
         report = getattr(exc, "report", None)
         detail = f" (failed conditions: {report.failed()})" if report else ""
         print(f"invalid topology: {exc}{detail}", file=sys.stderr)
+        return EXIT_NOT_A_TREE
+    except DegenerateSensorError as exc:
+        print(f"no sensor row: {exc}", file=sys.stderr)
         return EXIT_NOT_A_TREE
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

@@ -50,6 +50,18 @@ def is_unique_completion(dminus: DependencyMatrix) -> bool:
     return len(empties) == 1 and bool(sets[empties[0]])
 
 
+def fresh_labels(existing, count: int) -> list[str]:
+    """The first ``count`` of the labels ``u1, u2, ...`` not in ``existing``."""
+    taken = set(existing)
+    labels: list[str] = []
+    n = 0
+    while len(labels) < count:
+        n += 1
+        if f"u{n}" not in taken:
+            labels.append(f"u{n}")
+    return labels
+
+
 def complete(
     dminus: DependencyMatrix, unobserved_labels, seed: int = 0
 ) -> DependencyMatrix:

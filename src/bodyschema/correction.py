@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .completion import fresh_labels
 from .topology import DependencyMatrix, check_conditions, dilation_matrix
 
 # beyond this size an unbounded beam can explode; the cap is recorded in the
@@ -154,7 +155,7 @@ def trellis_correct(d: DependencyMatrix, beam_cap: int | None = None) -> Correct
 
 
 def correct_partial(
-    dminus: DependencyMatrix, beam_cap: int | None = None, fresh_prefix: str = "u"
+    dminus: DependencyMatrix, beam_cap: int | None = None
 ) -> CorrectionResult:
     """Pad missing rows with zeros under fresh labels, then run the trellis
     correction on the squared-up matrix."""
@@ -163,14 +164,7 @@ def correct_partial(
         raise ValueError("partial matrix cannot have more rows than columns")
     if k == n:
         return trellis_correct(dminus, beam_cap)
-    fresh = []
-    counter = 1
-    existing = set(dminus.row_labels)
-    while len(fresh) < n - k:
-        label = f"{fresh_prefix}{counter}"
-        if label not in existing:
-            fresh.append(label)
-        counter += 1
+    fresh = fresh_labels(dminus.row_labels, n - k)
     vals = np.vstack([dminus.values, np.zeros((n - k, n), dtype=np.int8)])
     padded = DependencyMatrix(
         tuple(dminus.row_labels) + tuple(fresh), dminus.col_labels, vals

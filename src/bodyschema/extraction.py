@@ -39,8 +39,9 @@ def tij_aggregate(jac_fn, thetas, method: str = "second_moment") -> np.ndarray:
     own terminal joint, since that column's norm reduces to
     |hat(axis) @ mount| regardless of configuration.  ``second_moment``
     (variance plus squared mean) is zero precisely when the column is
-    identically zero, so it is the default for the recovery pipeline;
-    ``mean`` behaves the same way on the non-negative entries.
+    identically zero, and so are its square root ``rms``, which the
+    pipeline uses (the manifest's ``aggregate`` default), and ``mean`` on
+    the non-negative entries.
     """
     thetas = list(thetas)
     if len(thetas) < 2:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import chain, extraction, pose_net, robots
 from . import topology as tp
-from .completion import complete, is_unique_completion
+from .completion import complete, fresh_labels, is_unique_completion
 from .correction import correct_partial, hamming, trellis_correct
 from .errors import DegenerateSensorError, SchemaError
 from .topology import DependencyMatrix, OutTree, check_conditions
@@ -54,7 +53,6 @@ class ExperimentManifest:
     alpha_dp: float = 1.0
     cluster_method: str = "dpmeans"
     # plumbing
-    workers: int = 1
     out_dir: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -111,6 +109,28 @@ def _sensor_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + 7919 * index) % 2**31
 
 
+def simulate(spec: chain.RobotSpec, manifest: ExperimentManifest):
+    """The manifest's trajectory, with its measurement noise when a sigma is
+    non-zero."""
+    samples = chain.gen_trajectory(
+        spec,
+        mode=manifest.trajectory_mode,
+        duration=manifest.duration,
+        rate=manifest.rate,
+        seed=manifest.seed,
+    )
+    if manifest.sigma_alpha or manifest.sigma_beta:
+        samples = chain.add_noise(
+            samples, manifest.sigma_alpha, manifest.sigma_beta, seed=manifest.seed
+        )
+    return samples
+
+
+def net_file(directory, sensor_id: str) -> Path:
+    """Where a sensor's pose net is stored in a nets directory."""
+    return Path(directory) / f"{sensor_id.replace(':', '_')}.json"
+
+
 def train_sensor(
     spec: chain.RobotSpec,
     samples,
@@ -149,6 +169,40 @@ def _extraction_thetas(spec, samples, manifest: ExperimentManifest):
         rng.uniform(-np.pi, np.pi, spec.n_joints)
         for _ in range(manifest.theta_samples)
     ]
+
+
+def jacobian_fns(spec: chain.RobotSpec, nets=None) -> dict:
+    """``{sensor_id: theta -> 12xN pose Jacobian}``: from the trained pose nets
+    when ``nets`` (``{sensor_id: PoseNet}``) is given, else the analytic
+    oracle of every sensor of ``spec``."""
+    if nets is None:
+        return {
+            sid: (lambda th, s=sid: chain.analytic_jacobian(spec, th, s))
+            for sid in spec.sensor_ids
+        }
+    return {
+        sid: (lambda th, net=net: pose_net.pose_jacobian(net, th))
+        for sid, net in nets.items()
+    }
+
+
+def sensor_features(jac_fns: dict, thetas, aggregate: str):
+    """Each sensor's normalized feature ``d'`` over the configurations, and
+    the sensors skipped because their aggregated Jacobian is all zero.
+
+    Raises ``DegenerateSensorError`` when every sensor is skipped."""
+    dprimes: dict[str, np.ndarray] = {}
+    skipped: list[str] = []
+    for sid, jac_fn in jac_fns.items():
+        try:
+            dprimes[sid] = extraction.feature_raw(
+                extraction.tij_aggregate(jac_fn, thetas, method=aggregate)
+            )
+        except DegenerateSensorError:
+            skipped.append(sid)
+    if not dprimes:
+        raise DegenerateSensorError(f"every sensor is degenerate: {skipped}")
+    return dprimes, skipped
 
 
 def _majority_label(sensor_ids, spec) -> str:
@@ -273,13 +327,7 @@ def _repair(matrix: DependencyMatrix, manifest: ExperimentManifest):
         report = check_conditions(matrix)
         if report.satisfies_Pminus:
             unique = is_unique_completion(matrix)
-            fresh = []
-            counter = 1
-            while len(fresh) < n - k:
-                lab = f"u{counter}"
-                if lab not in matrix.row_labels:
-                    fresh.append(lab)
-                counter += 1
+            fresh = fresh_labels(matrix.row_labels, n - k)
             matrix = complete(matrix, fresh, seed=manifest.seed + 4)
             completed = True
         else:
@@ -329,19 +377,7 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
     # only the learned mode reads a trajectory: the oracle draws its
     # configurations uniformly
     t0 = time.perf_counter()
-    samples = None
-    if manifest.mode == "learned":
-        samples = chain.gen_trajectory(
-            spec,
-            mode=manifest.trajectory_mode,
-            duration=manifest.duration,
-            rate=manifest.rate,
-            seed=manifest.seed,
-        )
-        if manifest.sigma_alpha or manifest.sigma_beta:
-            samples = chain.add_noise(
-                samples, manifest.sigma_alpha, manifest.sigma_beta, seed=manifest.seed
-            )
+    samples = simulate(spec, manifest) if manifest.mode == "learned" else None
     timings["simulate"] = time.perf_counter() - t0
 
     out_dir = Path(manifest.out_dir) if manifest.out_dir else None
@@ -352,46 +388,21 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
     t0 = time.perf_counter()
     thetas = _extraction_thetas(spec, samples, manifest)
     if manifest.mode == "learned":
-        sensor_ids = list(spec.sensor_ids)
-        if manifest.workers > 1:
-            # per-sensor jobs carry their own derived seeds, so results do
-            # not depend on pool scheduling
-            with ProcessPoolExecutor(max_workers=manifest.workers) as pool:
-                results = list(
-                    pool.map(
-                        train_sensor,
-                        [spec] * len(sensor_ids),
-                        [samples] * len(sensor_ids),
-                        sensor_ids,
-                        [manifest] * len(sensor_ids),
-                    )
-                )
-        else:
-            results = [
-                train_sensor(spec, samples, sid, manifest) for sid in sensor_ids
-            ]
-        jac_fns = {}
-        for sid, result in zip(sensor_ids, results):
-            if out_dir:
-                (out_dir / "nets").mkdir(exist_ok=True)
-                pose_net.save_net(result.net, out_dir / "nets" / f"{sid.replace(':', '_')}.json")
-            jac_fns[sid] = lambda th, net=result.net: pose_net.pose_jacobian(net, th)
-    elif manifest.mode == "oracle-fk":
-        jac_fns = {
-            sid: (lambda th, s=sid: chain.analytic_jacobian(spec, th, s))
+        nets = {
+            sid: train_sensor(spec, samples, sid, manifest).net
             for sid in spec.sensor_ids
         }
+        if out_dir:
+            (out_dir / "nets").mkdir(exist_ok=True)
+            for sid, net in nets.items():
+                pose_net.save_net(net, net_file(out_dir / "nets", sid))
+    elif manifest.mode == "oracle-fk":
+        nets = None
     else:
         raise ValueError(f"unknown mode {manifest.mode!r}")
-    dprimes: dict[str, np.ndarray] = {}
-    skipped: list[str] = []
-    for sid, jac_fn in jac_fns.items():
-        try:
-            dprimes[sid] = extraction.feature_raw(
-                extraction.tij_aggregate(jac_fn, thetas, method=manifest.aggregate)
-            )
-        except DegenerateSensorError:
-            skipped.append(sid)
+    dprimes, skipped = sensor_features(
+        jacobian_fns(spec, nets), thetas, manifest.aggregate
+    )
     timings["train_extract"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

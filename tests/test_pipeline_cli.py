@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -133,6 +134,16 @@ class TestPipeline:
         matrix, purity, _, _ = pipeline._assemble_matrix(dprimes, delta, spec, manifest)
         assert tp.matrix_to_tree(matrix) == spec.topology
         assert purity == 1.0
+
+
+def small_net(n_joints, seed=0, degenerate=False):
+    """A random width-4 pose net; a degenerate one has its first layer
+    zeroed, so its pose Jacobian vanishes at every configuration."""
+    net = pose_net.init_pose_net(n_joints, widths=(4, 4, 4), seed=seed)
+    if degenerate:
+        w, b = net.hidden[0]
+        net.hidden[0] = (np.zeros_like(w), b)
+    return net
 
 
 def write_five_node_matrix(path):
@@ -339,6 +350,143 @@ class TestCli:
                 for n, (p, e) in t.parents.items()
             }
         assert edge_parents(staged) == edge_parents(fused_tree)
+
+
+    @staticmethod
+    def _extract_with_nets(tmp_path, degenerate):
+        # random robot2 nets, the ``degenerate`` sensors' nets with a zeroed
+        # first layer
+        robot = tmp_path / "robot.json"
+        traj = tmp_path / "traj.jsonl"
+        matrix = tmp_path / "matrix.json"
+        nets = tmp_path / "nets"
+        nets.mkdir()
+        cli.main(["generate", "--robot", "robot2", "--out", str(robot)])
+        cli.main(["simulate", "--spec", str(robot), "--duration", "1",
+                  "--rate", "50", "--out", str(traj)])
+        spec = chain.load_robot(robot)
+        for i, sid in enumerate(spec.sensor_ids):
+            net = small_net(spec.n_joints, seed=i, degenerate=sid in degenerate)
+            pose_net.save_net(net, pipeline.net_file(nets, sid))
+        code = cli.main([
+            "extract", "--spec", str(robot), "--traj", str(traj),
+            "--nets-dir", str(nets), "--delta", "0.05", "--out", str(matrix),
+        ])
+        return code, matrix
+
+    def test_extract_skips_degenerate_sensor(self, tmp_path, capsys):
+        code, matrix = self._extract_with_nets(tmp_path, {"l2:1"})
+        assert code == 0
+        assert "l2:1" in capsys.readouterr().err
+        m = tp.DependencyMatrix.from_json_dict(json.loads(matrix.read_text()))
+        assert "l2:1" not in m.row_labels
+        assert all("l2:1" not in group for group in m.merged_groups.values())
+
+    def test_extract_every_sensor_degenerate_exit_code(self, tmp_path):
+        every = set(robots.builtin_robot("robot2").sensor_ids)
+        code, matrix = self._extract_with_nets(tmp_path, every)
+        assert code == cli.EXIT_NOT_A_TREE
+        assert not matrix.exists()
+
+    def test_run_every_sensor_degenerate_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            pipeline,
+            "train_sensor",
+            lambda spec, samples, sid, manifest: pose_net.TrainResult(
+                small_net(spec.n_joints, degenerate=True), 0.0
+            ),
+        )
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(ExperimentManifest(
+            robot="robot5", mode="learned", duration=1.0, rate=50.0,
+            sensors_per_link=1,
+        ).to_json_dict()))
+        assert cli.main(["run", "--manifest", str(path)]) == cli.EXIT_NOT_A_TREE
+
+    def test_complete_fresh_labels_avoid_observed_rows(self, tmp_path):
+        m = tp.DependencyMatrix(FIVE_NODE_ROWS, FIVE_NODE_COLS, FIVE_NODE_VALUES)
+        sub = m.restrict_rows(["b", "c", "d", "f"])
+        observed = ("u1",) + sub.row_labels[1:]
+        src = tmp_path / "partial.json"
+        src.write_text(json.dumps(
+            tp.DependencyMatrix(observed, sub.col_labels, sub.values).to_json_dict()
+        ))
+        out = tmp_path / "full.json"
+        assert cli.main(["complete", "--matrix", str(src), "--out", str(out)]) == 0
+        full = tp.DependencyMatrix.from_json_dict(json.loads(out.read_text()))
+        assert tp.check_conditions(full).satisfies_P
+        assert full.row_labels[:4] == observed
+        assert len(set(full.row_labels)) == 5
+
+    def test_simulate_writes_pipeline_trajectory(self, tmp_path):
+        robot = tmp_path / "robot.json"
+        traj = tmp_path / "traj.jsonl"
+        cli.main(["generate", "--robot", "robot3", "--out", str(robot)])
+        assert cli.main([
+            "simulate", "--spec", str(robot), "--trajectory-mode", "smooth_random",
+            "--duration", "0.5", "--rate", "40", "--seed", "3",
+            "--sigma-alpha", "0.05", "--sigma-beta", "0.01", "--out", str(traj),
+        ]) == 0
+        spec = chain.load_robot(robot)
+        written, _ = chain.load_trajectory(traj)
+        expected = pipeline.simulate(spec, ExperimentManifest(
+            trajectory_mode="smooth_random", duration=0.5, rate=40.0, seed=3,
+            sigma_alpha=0.05, sigma_beta=0.01,
+        ))
+        assert len(written) == len(expected)
+        for a, b in zip(written, expected):
+            assert a.t == b.t
+            for name in ("theta", "theta_dot", "theta_ddot"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert a.measurements.keys() == b.measurements.keys()
+            for sid, (alpha, beta) in b.measurements.items():
+                assert np.array_equal(a.measurements[sid][0], alpha)
+                assert np.array_equal(a.measurements[sid][1], beta)
+
+    def test_train_flags_reach_train_sensor(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_train(spec, samples, sid, manifest):
+            seen.append(manifest)
+            return pose_net.TrainResult(
+                pose_net.init_pose_net(spec.n_joints, widths=(4, 4, 4)), 0.0
+            )
+
+        monkeypatch.setattr(cli, "train_sensor", fake_train)
+        robot = tmp_path / "robot.json"
+        traj = tmp_path / "traj.jsonl"
+        cli.main(["generate", "--robot", "robot6", "--out", str(robot)])
+        cli.main(["simulate", "--spec", str(robot), "--duration", "0.5",
+                  "--rate", "50", "--out", str(traj)])
+        assert cli.main([
+            "train", "--spec", str(robot), "--traj", str(traj), "--sensor", "l1:0",
+            "--width", "8", "--seed", "3", "--epochs", "1",
+            "--out-dir", str(tmp_path / "nets"),
+        ]) == 0
+        (manifest,) = seen
+        assert (manifest.hidden_width, manifest.seed, manifest.epochs) == (8, 3, 1)
+        assert manifest.gravity is True and manifest.rate == 100.0
+
+    def test_run_flags_override_manifest_fields(self, tmp_path, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(manifest):
+            raise Captured(manifest)
+
+        monkeypatch.setattr(cli, "run_pipeline", capture)
+        base = ExperimentManifest(
+            robot="robot4", mode="learned", seed=1, duration=5.0, epochs=3,
+        )
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(base.to_json_dict()))
+        with pytest.raises(Captured) as caught:
+            cli.main([
+                "run", "--manifest", str(path), "--seed", "3",
+                "--gravity", "off", "--delta", "0.2",
+            ])
+        (manifest,) = caught.value.args
+        assert manifest == dataclasses.replace(base, seed=3, gravity=False, delta=0.2)
 
 
 class TestBenchmarkTrace:
