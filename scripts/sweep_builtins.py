@@ -16,6 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from bodyschema.pipeline import ExperimentManifest, run_pipeline
 from bodyschema.robots import BUILTIN_NAMES
 
+# the run's stages whose wall times (s) are printed and summarized
+STAGES = ("simulate", "train_extract", "extract_translate")
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -35,15 +38,16 @@ def main() -> int:
             manifest.out_dir = str(Path(args.out) / name)
         report = run_pipeline(manifest)
         rows.append((name, report))
+        stages = " ".join(f"{k}={report.timings[k]:.3f}s" for k in STAGES)
         print(
             f"{name}: exact={report.exact_match} "
             f"hamming={report.hamming_to_truth} delta={report.delta_used:.3f} "
             f"purity={report.cluster_purity:.2f} corrected={report.corrected} "
-            f"completed={report.completed}"
+            f"completed={report.completed} {stages}"
         )
     elapsed = time.perf_counter() - start
     exact = sum(1 for _, r in rows if r.exact_match)
-    print(f"\n{exact}/{len(rows)} recovered exactly in {elapsed:.1f}s")
+    print(f"\n{exact}/{len(rows)} recovered exactly in {elapsed:.2f}s")
     if args.out:
         summary = {
             name: {
@@ -51,6 +55,7 @@ def main() -> int:
                 "hamming": r.hamming_to_truth,
                 "delta": r.delta_used,
                 "purity": r.cluster_purity,
+                "timings": {k: r.timings[k] for k in STAGES},
             }
             for name, r in rows
         }

@@ -129,9 +129,13 @@ class TrajectorySample:
 # ---------------------------------------------------------------------------
 
 
-def _axis_rot_homogeneous(axis: np.ndarray, q: float) -> np.ndarray:
-    t = np.eye(4)
-    t[:3, :3] = rm.rodrigues(axis, q)
+def _axis_rot_homogeneous(axis: np.ndarray, q) -> np.ndarray:
+    """Rot(axis, q) as a homogeneous transform; leading axes of ``axis``
+    (shape ``(..., 3)``) and of ``q`` broadcast into a stack of them."""
+    r = rm.rodrigues(axis, q)
+    t = np.zeros(r.shape[:-2] + (4, 4))
+    t[..., :3, :3] = r
+    t[..., 3, 3] = 1.0
     return t
 
 
@@ -141,9 +145,19 @@ def _hat4(axis: np.ndarray) -> np.ndarray:
     return h
 
 
-def _factor_triple(joint: Joint, q, qd, qdd):
-    """(M, dM/dt, d2M/dt2) for one joint factor offset @ Rot(axis, q(t))."""
-    rot = _axis_rot_homogeneous(joint.axis, q)
+def _joint_rotations(spec: RobotSpec, edges, theta: np.ndarray) -> dict:
+    """``{edge: (T, 4, 4) stack of Rot(axis, theta_edge)}`` over the rows of
+    a (T, N) theta, from one ``rm.rodrigues`` call for all edges."""
+    axes = np.stack([spec.joints[e].axis for e in edges])
+    q = theta[:, [spec.joint_index(e) for e in edges]]
+    return dict(zip(edges, _axis_rot_homogeneous(axes[:, None, :], q.T)))
+
+
+def _factor_triple(joint: Joint, rot, qd, qdd):
+    """(M, dM/dt, d2M/dt2) for one joint factor offset @ Rot(axis, q(t)),
+    given the (T, 4, 4) stack ``rot`` and the (T,) joint rates."""
+    qd = qd[:, None, None]
+    qdd = qdd[:, None, None]
     h = _hat4(joint.axis)
     m = joint.offset @ rot
     d_rot = rot @ h  # d/dq Rot(axis, q) = Rot @ hat(axis)
@@ -164,32 +178,66 @@ def _chain_triple(factors):
     return t, td, tdd
 
 
-def _check_theta(spec: RobotSpec, theta) -> np.ndarray:
+def _check_theta(spec: RobotSpec, theta, max_ndim: int = 1) -> np.ndarray:
+    """theta as a float array of length N, or with ``max_ndim = 2`` also a
+    (T, N) stack."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (spec.n_joints,):
+    if theta.shape[-1:] != (spec.n_joints,) or theta.ndim > max_ndim:
         raise ValueError(
             f"theta must have length {spec.n_joints}, got shape {theta.shape}"
         )
     return theta
 
 
+def _sensor_triples(spec: RobotSpec, sensor_ids, theta, theta_dot, theta_ddot):
+    """Yield ``(sensor_id, (T, dT/dt, d2T/dt2))`` for the given sensors, each
+    a (T, 4, 4) stack over the rows of the (T, N) joint states.
+
+    The tree is walked depth first: a node's triple is its parent's folded
+    with its own joint factor, the same left fold as along the whole root
+    path, computed once for all sensors below it and dropped once its
+    subtree is done.
+    """
+    top = spec.topology
+    by_node: dict[str, list[str]] = {}
+    for sid in sensor_ids:
+        by_node.setdefault(spec.sensor_link(sid), []).append(sid)
+    nodes = set()
+    for node in by_node:
+        while node is not None:
+            nodes.add(node)
+            node = top.parent(node)
+    nodes = sorted(nodes)
+    children: dict[str | None, list[str]] = {}
+    for node in nodes:
+        children.setdefault(top.parent(node), []).append(node)
+    rots = _joint_rotations(spec, [top.edge_to(n) for n in nodes], theta)
+    zero = np.zeros((4, 4))
+
+    def visit(node, parent_triple):
+        edge = top.edge_to(node)
+        k = spec.joint_index(edge)
+        triple = _factor_triple(
+            spec.joints[edge], rots.pop(edge), theta_dot[:, k], theta_ddot[:, k]
+        )
+        if parent_triple is not None:
+            triple = _chain_triple([parent_triple, triple])
+        for sid in by_node.get(node, ()):
+            yield sid, _chain_triple([triple, (spec.mount_of(sid), zero, zero)])
+        for child in children.get(node, ()):
+            yield from visit(child, triple)
+
+    for node in children.get(None, ()):
+        yield from visit(node, None)
+
+
 def pose_with_time_derivatives(
     spec: RobotSpec, sensor_id: str, theta, theta_dot, theta_ddot
 ):
     """(T, dT/dt, d2T/dt2) of one sensor along the given joint state."""
-    theta = _check_theta(spec, theta)
-    theta_dot = _check_theta(spec, theta_dot)
-    theta_ddot = _check_theta(spec, theta_ddot)
-    node = spec.sensor_link(sensor_id)
-    zero = np.zeros((4, 4))
-    factors = []
-    for edge in spec.topology.root_path_edges(node):
-        k = spec.joint_index(edge)
-        factors.append(
-            _factor_triple(spec.joints[edge], theta[k], theta_dot[k], theta_ddot[k])
-        )
-    factors.append((spec.mount_of(sensor_id), zero, zero))
-    return _chain_triple(factors)
+    states = [_check_theta(spec, x)[None] for x in (theta, theta_dot, theta_ddot)]
+    ((_, (t, td, tdd)),) = _sensor_triples(spec, [sensor_id], *states)
+    return t[0], td[0], tdd[0]
 
 
 def fk(spec: RobotSpec, theta) -> dict[str, np.ndarray]:
@@ -216,19 +264,23 @@ def fk(spec: RobotSpec, theta) -> dict[str, np.ndarray]:
 def analytic_jacobian(spec: RobotSpec, theta, sensor_id: str) -> np.ndarray:
     """12xN pose Jacobian: rows stack d(n_x)/dtheta, d(n_y)/dtheta,
     d(n_z)/dtheta, d(b)/dtheta.  Columns of joints off the sensor's root
-    path are identically zero."""
-    theta = _check_theta(spec, theta)
+    path are identically zero.
+
+    A (T, N) stack of configurations gives the (T, 12, N) stack of their
+    Jacobians, each equal to its one-configuration result."""
+    theta = _check_theta(spec, theta, max_ndim=2)
+    thetas = np.atleast_2d(theta)
     node = spec.sensor_link(sensor_id)
     path = spec.topology.root_path_edges(node)
+    rots = _joint_rotations(spec, path, thetas)
     factors = []
     for edge in path:
-        k = spec.joint_index(edge)
         joint = spec.joints[edge]
-        rot = _axis_rot_homogeneous(joint.axis, theta[k])
-        factors.append((joint.offset @ rot, joint.offset @ rot @ _hat4(joint.axis)))
+        m = joint.offset @ rots[edge]
+        factors.append((m, m @ _hat4(joint.axis)))
     mount = spec.mount_of(sensor_id)
 
-    jac = np.zeros((12, spec.n_joints))
+    jac = np.zeros((len(thetas), 12, spec.n_joints))
     for pos, edge in enumerate(path):
         k = spec.joint_index(edge)
         dt = np.eye(4)
@@ -236,11 +288,11 @@ def analytic_jacobian(spec: RobotSpec, theta, sensor_id: str) -> np.ndarray:
             dt = dt @ (dm if q == pos else m)
         dt = dt @ mount
         # columns of R then translation: n_x, n_y, n_z, b
-        jac[0:3, k] = dt[:3, 0]
-        jac[3:6, k] = dt[:3, 1]
-        jac[6:9, k] = dt[:3, 2]
-        jac[9:12, k] = dt[:3, 3]
-    return jac
+        jac[:, 0:3, k] = dt[:, :3, 0]
+        jac[:, 3:6, k] = dt[:, :3, 1]
+        jac[:, 6:9, k] = dt[:, :3, 2]
+        jac[:, 9:12, k] = dt[:, :3, 3]
+    return jac[0] if theta.ndim == 1 else jac
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +302,8 @@ def analytic_jacobian(spec: RobotSpec, theta, sensor_id: str) -> np.ndarray:
 
 def body_rates_to_rpy_rates(omega_b: np.ndarray, ts: float) -> np.ndarray:
     """Roll-pitch-yaw rates whose integrated rotation over ts seconds equals
-    the rotation produced by the body rate omega_b over the same period."""
+    the rotation produced by the body rate omega_b over the same period.
+    Leading axes of ``omega_b`` are batch axes."""
     r1 = rm.rodrigues(omega_b, ts)
     return rm.rpy_from_matrix(r1) / ts
 
@@ -262,19 +315,21 @@ def synthesize_imu(
 
     alpha_b = R^T (b_dd - g); beta_b integrates to the exact body rotation
     over ``ts`` so the two rotation constructions agree on noiseless data.
+    (T, N) joint states give (T, 3) readings, each row equal to its
+    one-state result.
     """
+    states = [_check_theta(spec, x, max_ndim=2) for x in (theta, theta_dot, theta_ddot)]
+    single = states[0].ndim == 1
+    states = [np.atleast_2d(x) for x in states]
     out = {}
-    for sid in spec.sensor_ids:
-        t, td, tdd = pose_with_time_derivatives(
-            spec, sid, theta, theta_dot, theta_ddot
-        )
-        r = t[:3, :3]
-        b_dd = tdd[:3, 3]
-        alpha = r.T @ (b_dd - spec.gravity)
-        omega_b = rm.vee_antisym(r.T @ td[:3, :3])
+    for sid, (t, td, tdd) in _sensor_triples(spec, spec.sensor_ids, *states):
+        r_t = np.swapaxes(t[:, :3, :3], 1, 2)
+        b_dd = tdd[:, :3, 3]
+        alpha = (r_t @ (b_dd - spec.gravity)[:, :, None])[:, :, 0]
+        omega_b = rm.vee_antisym(r_t @ td[:, :3, :3])
         beta = body_rates_to_rpy_rates(omega_b, ts)
-        out[sid] = (alpha, beta)
-    return out
+        out[sid] = (alpha[0], beta[0]) if single else (alpha, beta)
+    return {sid: out[sid] for sid in spec.sensor_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +339,15 @@ def synthesize_imu(
 
 def _sinusoid_state(params, t):
     """theta, theta_dot, theta_ddot for qd_i(t) = A sin(2 pi k t + y),
-    integrated analytically from theta(0) = 0."""
+    integrated analytically from theta(0) = 0; a (T,) array of times gives
+    (T, N) states."""
     theta, theta_dot, theta_ddot = [], [], []
     for a, k, y in params:
         w = 2.0 * np.pi * k
         theta.append((a / w) * (np.cos(y) - np.cos(w * t + y)))
         theta_dot.append(a * np.sin(w * t + y))
         theta_ddot.append(a * w * np.cos(w * t + y))
-    return np.array(theta), np.array(theta_dot), np.array(theta_ddot)
+    return tuple(np.stack(x, axis=-1) for x in (theta, theta_dot, theta_ddot))
 
 
 def _smooth_random_params(n_joints: int, bandwidth: float, seed: int):
@@ -320,7 +376,7 @@ def _smooth_random_state(params, t):
         theta.append(q)
         theta_dot.append(qd)
         theta_ddot.append(qdd)
-    return np.array(theta), np.array(theta_dot), np.array(theta_ddot)
+    return tuple(np.stack(x, axis=-1) for x in (theta, theta_dot, theta_ddot))
 
 
 def gen_trajectory(
@@ -347,13 +403,19 @@ def gen_trajectory(
     else:
         raise ValueError(f"unknown trajectory mode {mode!r}")
 
-    samples = []
-    for k in range(int(round(duration * rate)) + 1):
-        t = k * ts
-        theta, theta_dot, theta_ddot = state(t)
-        meas = synthesize_imu(spec, theta, theta_dot, theta_ddot, ts)
-        samples.append(TrajectorySample(t, theta, theta_dot, theta_ddot, meas))
-    return samples
+    steps = int(round(duration * rate)) + 1
+    theta, theta_dot, theta_ddot = state(np.arange(steps) * ts)
+    meas = synthesize_imu(spec, theta, theta_dot, theta_ddot, ts)
+    return [
+        TrajectorySample(
+            k * ts,
+            theta[k],
+            theta_dot[k],
+            theta_ddot[k],
+            {sid: (alpha[k], beta[k]) for sid, (alpha, beta) in meas.items()},
+        )
+        for k in range(steps)
+    ]
 
 
 def add_noise(
@@ -366,18 +428,30 @@ def add_noise(
     identity when both sigmas are zero."""
     if sigma_alpha < 0 or sigma_beta < 0:
         raise ValueError("noise levels must be non-negative")
-    rng = np.random.default_rng(seed)
-    out = []
-    for s in samples:
-        meas = {}
-        for sid in sorted(s.measurements):
-            alpha, beta = s.measurements[sid]
-            meas[sid] = (
-                alpha + rng.normal(0.0, 1.0, 3) * sigma_alpha,
-                beta + rng.normal(0.0, 1.0, 3) * sigma_beta,
-            )
-        out.append(TrajectorySample(s.t, s.theta, s.theta_dot, s.theta_ddot, meas))
-    return out
+    if not samples:
+        return []
+    sensors = sorted(samples[0].measurements)
+    # one draw in sample, sorted-sensor, alpha-then-beta order: the same
+    # numbers as three-value draws in that order
+    noise = np.random.default_rng(seed).normal(
+        0.0, 1.0, (len(samples), len(sensors), 2, 3)
+    )
+    return [
+        TrajectorySample(
+            s.t,
+            s.theta,
+            s.theta_dot,
+            s.theta_ddot,
+            {
+                sid: (
+                    s.measurements[sid][0] + z[0] * sigma_alpha,
+                    s.measurements[sid][1] + z[1] * sigma_beta,
+                )
+                for sid, z in zip(sensors, n)
+            },
+        )
+        for s, n in zip(samples, noise)
+    ]
 
 
 # ---------------------------------------------------------------------------

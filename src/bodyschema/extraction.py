@@ -23,16 +23,24 @@ from .topology import DependencyMatrix
 
 def tij(jac_fn, theta) -> np.ndarray:
     """Transform-invariant squash of a 12xN pose Jacobian: entry (r, j) is
-    the Euclidean norm of the j-th column of the r-th 3-row block."""
+    the Euclidean norm of the j-th column of the r-th 3-row block.
+
+    A (T, N) stack of configurations is handed to ``jac_fn`` in one call,
+    which must return the (T, 12, N) stack of their Jacobians; the result is
+    then the (T, 4, N) stack of squashes."""
+    theta = np.asarray(theta, dtype=float)
     jac = np.asarray(jac_fn(theta), dtype=float)
-    if jac.ndim != 2 or jac.shape[0] != 12:
+    if jac.shape[:-2] != theta.shape[:-1] or jac.shape[-2:-1] != (12,):
         raise ValueError(f"expected a 12xN Jacobian, got shape {jac.shape}")
-    blocks = jac.reshape(4, 3, -1)
-    return np.linalg.norm(blocks, axis=1)
+    blocks = jac.reshape(jac.shape[:-2] + (4, 3, -1))
+    return np.linalg.norm(blocks, axis=-2)
 
 
 def tij_aggregate(jac_fn, thetas, method: str = "second_moment") -> np.ndarray:
     """Aggregate the squashed Jacobian over sampled configurations.
+
+    ``jac_fn`` is called once, with all configurations as a (T, N) stack
+    (see ``tij``).
 
     ``variance`` misses a column whose norm is nonzero but constant in
     theta -- which is exactly what an ideal pose map produces for a sensor's
@@ -43,10 +51,10 @@ def tij_aggregate(jac_fn, thetas, method: str = "second_moment") -> np.ndarray:
     pipeline uses (the manifest's ``aggregate`` default), and ``mean`` on
     the non-negative entries.
     """
-    thetas = list(thetas)
+    thetas = np.asarray(list(thetas), dtype=float)
     if len(thetas) < 2:
         raise ValueError("need at least two configurations")
-    stack = np.stack([tij(jac_fn, th) for th in thetas])
+    stack = tij(jac_fn, thetas)
     if method == "variance":
         return stack.var(axis=0)
     if method == "mean":

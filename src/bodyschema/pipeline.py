@@ -21,6 +21,33 @@ from .errors import DegenerateSensorError, SchemaError
 from .topology import DependencyMatrix, OutTree, check_conditions
 
 
+# The values run_pipeline accepts.  Enumerated strings list their choices;
+# integer fields give their least value; real fields must be positive or
+# non-negative.
+_CHOICES = {
+    "mode": ("oracle-fk", "learned"),
+    "trajectory_mode": ("sinusoidal", "smooth_random"),
+    "aggregate": ("rms", "variance", "mean", "second_moment"),
+    "optimizer": ("adam", "sgd"),
+    "cluster_method": ("dpmeans", "vb"),
+}
+_INTEGERS = {
+    "sensors_per_link": 1,
+    "seed": 0,
+    "hidden_width": 1,
+    "epochs": 0,
+    "batch_size": 1,
+    "theta_samples": 2,  # tij_aggregate needs two configurations
+    "delta_grid_size": 1,
+}
+_POSITIVE = ("duration", "rate", "learning_rate", "alpha_dp")
+_NON_NEGATIVE = ("sigma_alpha", "sigma_beta", "momentum", "lam")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentManifest:
     """Everything one run needs; serialized alongside results so any run can
@@ -64,7 +91,44 @@ class ExperimentManifest:
         unknown = set(doc) - known
         if unknown:
             raise SchemaError(f"unknown manifest fields: {sorted(unknown)}")
-        return cls(**doc)
+        manifest = cls(**doc)
+        manifest._check_values()
+        return manifest
+
+    def _check_values(self) -> None:
+        """Raise ``SchemaError`` naming the first field whose value the
+        pipeline cannot run with."""
+
+        def fail(name, wanted):
+            raise SchemaError(
+                f"manifest field {name!r} must be {wanted}, got {getattr(self, name)!r}"
+            )
+
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                fail(name, f"one of {list(choices)}")
+        for name, least in _INTEGERS.items():
+            value = getattr(self, name)
+            if not (_is_real(value) and isinstance(value, int) and value >= least):
+                fail(name, f"an integer >= {least}")
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0):
+                fail(name, "a positive number")
+        for name in _NON_NEGATIVE:
+            value = getattr(self, name)
+            if not (_is_real(value) and value >= 0):
+                fail(name, "a non-negative number")
+        if self.delta is not None and not (_is_real(self.delta) and 0 < self.delta < 1):
+            fail("delta", "null or a number strictly between 0 and 1")
+        if not (_is_real(self.delta_grid_max) and 0 < self.delta_grid_max < 1):
+            fail("delta_grid_max", "a number strictly between 0 and 1")
+        if not isinstance(self.gravity, bool):
+            fail("gravity", "true or false")
+        if not isinstance(self.robot, str):
+            fail("robot", "a built-in robot name or a path")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            fail("out_dir", "null or a path")
 
 
 @dataclass
@@ -174,7 +238,8 @@ def _extraction_thetas(spec, samples, manifest: ExperimentManifest):
 def jacobian_fns(spec: chain.RobotSpec, nets=None) -> dict:
     """``{sensor_id: theta -> 12xN pose Jacobian}``: from the trained pose nets
     when ``nets`` (``{sensor_id: PoseNet}``) is given, else the analytic
-    oracle of every sensor of ``spec``."""
+    oracle of every sensor of ``spec``.  A (T, N) stack of configurations
+    gives the (T, 12, N) stack of Jacobians."""
     if nets is None:
         return {
             sid: (lambda th, s=sid: chain.analytic_jacobian(spec, th, s))

@@ -348,10 +348,15 @@ def time_derivatives(
 
 def pose_jacobian(net: PoseNet, theta) -> np.ndarray:
     """12xN Jacobian of the pose map, rows stacking the derivatives of the
-    three rotation columns and the translation."""
+    three rotation columns and the translation.
+
+    A (T, N) stack of configurations gives the (T, 12, N) stack of their
+    Jacobians.  Each configuration stays a (1, N) row of a (T, 1, N) stack,
+    so every matrix product has the one-configuration shape and each
+    Jacobian equals its one-configuration result."""
     theta = np.asarray(theta, dtype=float)
     n = net.n_joints
-    x = np.atleast_2d(theta)
+    x = theta.reshape(-1, 1, n)
     tangents = np.eye(n)
     for w, b in net.hidden:
         a = x @ w.T + b
@@ -360,26 +365,27 @@ def pose_jacobian(net: PoseNet, theta) -> np.ndarray:
         x = s
     wt, _ = net.head_t
     wr, br = net.head_r
-    db = tangents @ wt.T  # (N, 3)
-    dr = tangents @ wr.T  # (N, 3)
-    r = (x @ wr.T + br)[0]
+    db = tangents @ wt.T  # (T, N, 3)
+    dr = tangents @ wr.T  # (T, N, 3)
+    ang = (x @ wr.T + br)[:, 0]
 
-    ang = r[None, :]
     f1, f1d, _ = _axis_rot_batch(0, ang[:, 0])
     f2, f2d, _ = _axis_rot_batch(1, ang[:, 1])
     f3, f3d, _ = _axis_rot_batch(2, ang[:, 2])
-    d_roll = (f3 @ f2 @ f1d)[0]
-    d_pitch = (f3 @ f2d @ f1)[0]
-    d_yaw = (f3d @ f2 @ f1)[0]
+    d_roll = (f3 @ f2 @ f1d)[:, None]
+    d_pitch = (f3 @ f2d @ f1)[:, None]
+    d_yaw = (f3d @ f2 @ f1)[:, None]
 
-    jac = np.zeros((12, n))
-    for j in range(n):
-        drot = d_roll * dr[j, 0] + d_pitch * dr[j, 1] + d_yaw * dr[j, 2]
-        jac[0:3, j] = drot[:, 0]
-        jac[3:6, j] = drot[:, 1]
-        jac[6:9, j] = drot[:, 2]
-        jac[9:12, j] = db[j]
-    return jac
+    # drot[t, j] = d R / d theta_j; its columns n_x, n_y, n_z fill rows 0-8
+    drot = (
+        d_roll * dr[..., 0, None, None]
+        + d_pitch * dr[..., 1, None, None]
+        + d_yaw * dr[..., 2, None, None]
+    )
+    jac = np.empty((len(x), 12, n))
+    jac[:, :9] = drot.transpose(0, 3, 2, 1).reshape(-1, 9, n)
+    jac[:, 9:] = db.transpose(0, 2, 1)
+    return jac[0] if theta.ndim == 1 else jac
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,15 @@ ZERO_RATE = 1e-12
 
 
 def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector: hat(v) @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrix of a 3-vector: hat(v) @ w == cross(v, w).
+    Leading axes of ``v`` are batch axes."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    k = np.zeros(v.shape[:-1] + (3, 3))
+    k[..., 0, 1], k[..., 0, 2] = -z, y
+    k[..., 1, 0], k[..., 1, 2] = z, -x
+    k[..., 2, 0], k[..., 2, 1] = -y, x
+    return k
 
 
 def vee(w: np.ndarray) -> np.ndarray:
@@ -29,27 +35,41 @@ def vee(w: np.ndarray) -> np.ndarray:
 
 
 def vee_antisym(w: np.ndarray) -> np.ndarray:
-    """vee of the antisymmetric part of w; use on numerically near-skew input."""
+    """vee of the antisymmetric part of w; use on numerically near-skew input.
+    Leading axes of ``w`` are batch axes."""
     w = np.asarray(w, dtype=float)
-    return 0.5 * np.array(
-        [w[2, 1] - w[1, 2], w[0, 2] - w[2, 0], w[1, 0] - w[0, 1]]
+    return 0.5 * np.stack(
+        [
+            w[..., 2, 1] - w[..., 1, 2],
+            w[..., 0, 2] - w[..., 2, 0],
+            w[..., 1, 0] - w[..., 0, 1],
+        ],
+        axis=-1,
     )
 
 
-def rodrigues(omega_b: np.ndarray, ts: float) -> np.ndarray:
+def rodrigues(omega_b: np.ndarray, ts) -> np.ndarray:
     """Rotation reached after spinning at constant body rate omega_b for ts
     seconds.
 
     The rate is decomposed into a speed and a unit axis; speeds below
-    ZERO_RATE return the identity (the axis would be undefined).
+    ZERO_RATE give the identity (the axis would be undefined).  Leading
+    axes of ``omega_b`` (shape ``(..., 3)``) and of ``ts`` broadcast against
+    each other, and every matrix of the stack equals the one-rate result.
     """
     omega_b = np.asarray(omega_b, dtype=float)
-    speed = float(np.linalg.norm(omega_b))
-    if speed < ZERO_RATE:
-        return np.eye(3)
-    k = hat(omega_b / speed)
-    angle = speed * ts
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    # the 1x3 @ 3x1 product is the dot product np.linalg.norm takes of one
+    # vector, so each speed equals that norm bit for bit
+    speed = np.sqrt((omega_b[..., None, :] @ omega_b[..., :, None])[..., 0, 0])
+    still = speed < ZERO_RATE
+    k = hat(omega_b / np.where(still, 1.0, speed)[..., None])
+    angle = speed * np.asarray(ts, dtype=float)
+    r = (
+        np.eye(3)
+        + np.sin(angle)[..., None, None] * k
+        + (1.0 - np.cos(angle))[..., None, None] * (k @ k)
+    )
+    return np.where(still[..., None, None], np.eye(3), r)
 
 
 def rot_x(a: float) -> np.ndarray:
@@ -77,20 +97,20 @@ def rpy_from_matrix(r: np.ndarray) -> np.ndarray:
     """Extract [roll, pitch, yaw] with r == rpy_matrix(result).
 
     At the pitch singularity (|pitch| = pi/2) roll is pinned to zero; the
-    returned triple still reproduces r.
+    returned triple still reproduces r.  Leading axes of ``r`` are batch
+    axes.
     """
     r = np.asarray(r, dtype=float)
-    sp = -r[2, 0]
-    sp = min(1.0, max(-1.0, sp))
+    sp = np.minimum(1.0, np.maximum(-1.0, -r[..., 2, 0]))
     pitch = np.arcsin(sp)
-    cp = np.cos(pitch)
-    if cp > 1e-9:
-        roll = np.arctan2(r[2, 1], r[2, 2])
-        yaw = np.arctan2(r[1, 0], r[0, 0])
-    else:
-        roll = 0.0
-        yaw = np.arctan2(-r[0, 1], r[1, 1])
-    return np.array([roll, pitch, yaw])
+    regular = np.cos(pitch) > 1e-9
+    roll = np.where(regular, np.arctan2(r[..., 2, 1], r[..., 2, 2]), 0.0)
+    yaw = np.where(
+        regular,
+        np.arctan2(r[..., 1, 0], r[..., 0, 0]),
+        np.arctan2(-r[..., 0, 1], r[..., 1, 1]),
+    )
+    return np.stack([roll, pitch, yaw], axis=-1)
 
 
 def rotation_angle(r: np.ndarray) -> float:

@@ -289,3 +289,236 @@ class TestSerialization:
         path.write_text('{"t": 0.0}\n')
         with pytest.raises(SchemaError):
             chain.load_trajectory(path)
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference: the one-configuration kinematics that the batched
+# code replaced, kept here so that every batched result can be compared
+# with it exactly.
+# ---------------------------------------------------------------------------
+
+
+def _ref_hat(v):
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _ref_rodrigues(omega_b, ts):
+    omega_b = np.asarray(omega_b, dtype=float)
+    speed = float(np.linalg.norm(omega_b))
+    if speed < rm.ZERO_RATE:
+        return np.eye(3)
+    k = _ref_hat(omega_b / speed)
+    angle = speed * ts
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _ref_rpy_from_matrix(r):
+    sp = min(1.0, max(-1.0, -r[2, 0]))
+    pitch = np.arcsin(sp)
+    if np.cos(pitch) > 1e-9:
+        roll = np.arctan2(r[2, 1], r[2, 2])
+        yaw = np.arctan2(r[1, 0], r[0, 0])
+    else:
+        roll = 0.0
+        yaw = np.arctan2(-r[0, 1], r[1, 1])
+    return np.array([roll, pitch, yaw])
+
+
+def _ref_rot4(axis, q):
+    t = np.eye(4)
+    t[:3, :3] = _ref_rodrigues(axis, q)
+    return t
+
+
+def _ref_hat4(axis):
+    h = np.zeros((4, 4))
+    h[:3, :3] = _ref_hat(axis)
+    return h
+
+
+def ref_jacobian(spec, theta, sensor_id):
+    """The 12xN pose Jacobian at one configuration."""
+    path = spec.topology.root_path_edges(spec.sensor_link(sensor_id))
+    factors = []
+    for edge in path:
+        joint = spec.joints[edge]
+        rot = _ref_rot4(joint.axis, theta[spec.joint_index(edge)])
+        factors.append((joint.offset @ rot, joint.offset @ rot @ _ref_hat4(joint.axis)))
+    jac = np.zeros((12, spec.n_joints))
+    for pos, edge in enumerate(path):
+        dt = np.eye(4)
+        for q, (m, dm) in enumerate(factors):
+            dt = dt @ (dm if q == pos else m)
+        dt = dt @ spec.mount_of(sensor_id)
+        jac[:, spec.joint_index(edge)] = dt[:3].T.ravel()  # n_x, n_y, n_z, b
+    return jac
+
+
+def _ref_pose_triple(spec, sensor_id, theta, theta_dot, theta_ddot):
+    zero = np.zeros((4, 4))
+    factors = []
+    for edge in spec.topology.root_path_edges(spec.sensor_link(sensor_id)):
+        joint, k = spec.joints[edge], spec.joint_index(edge)
+        rot, h = _ref_rot4(joint.axis, theta[k]), _ref_hat4(joint.axis)
+        d_rot = rot @ h
+        factors.append((
+            joint.offset @ rot,
+            joint.offset @ d_rot * theta_dot[k],
+            joint.offset @ (d_rot @ h) * theta_dot[k] * theta_dot[k]
+            + joint.offset @ d_rot * theta_ddot[k],
+        ))
+    factors.append((spec.mount_of(sensor_id), zero, zero))
+    t, td, tdd = factors[0]
+    for f, fd, fdd in factors[1:]:
+        t, td, tdd = t @ f, td @ f + t @ fd, tdd @ f + 2.0 * (td @ fd) + t @ fdd
+    return t, td, tdd
+
+
+def _ref_imu(spec, theta, theta_dot, theta_ddot, ts):
+    out = {}
+    for sid in spec.sensor_ids:
+        t, td, tdd = _ref_pose_triple(spec, sid, theta, theta_dot, theta_ddot)
+        r = t[:3, :3]
+        alpha = r.T @ (tdd[:3, 3] - spec.gravity)
+        w = r.T @ td[:3, :3]
+        omega = 0.5 * np.array([w[2, 1] - w[1, 2], w[0, 2] - w[2, 0], w[1, 0] - w[0, 1]])
+        out[sid] = (alpha, _ref_rpy_from_matrix(_ref_rodrigues(omega, ts)) / ts)
+    return out
+
+
+def _ref_state(mode, n, seed, t):
+    theta, theta_dot, theta_ddot = [], [], []
+    if mode == "sinusoidal":
+        for i in range(n):
+            a, k, y = chain.SINUSOID_TABLE[i % len(chain.SINUSOID_TABLE)]
+            w = 2.0 * np.pi * k
+            theta.append((a / w) * (np.cos(y) - np.cos(w * t + y)))
+            theta_dot.append(a * np.sin(w * t + y))
+            theta_ddot.append(a * w * np.cos(w * t + y))
+    else:
+        for comps in chain._smooth_random_params(n, 0.3, seed):
+            q = qd = qdd = 0.0
+            for a, f, phase in comps:
+                w = 2.0 * np.pi * f
+                qd += a * np.sin(w * t + phase)
+                q += (a / w) * (np.cos(phase) - np.cos(w * t + phase))
+                qdd += a * w * np.cos(w * t + phase)
+            theta.append(q)
+            theta_dot.append(qd)
+            theta_ddot.append(qdd)
+    return np.array(theta), np.array(theta_dot), np.array(theta_ddot)
+
+
+def _ref_trajectory(spec, mode, duration, rate, seed):
+    ts = 1.0 / rate
+    samples = []
+    for k in range(int(round(duration * rate)) + 1):
+        t = k * ts
+        theta, theta_dot, theta_ddot = _ref_state(mode, spec.n_joints, seed, t)
+        meas = _ref_imu(spec, theta, theta_dot, theta_ddot, ts)
+        samples.append(chain.TrajectorySample(t, theta, theta_dot, theta_ddot, meas))
+    return samples
+
+
+def _ref_add_noise(samples, sigma_alpha, sigma_beta, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for s in samples:
+        meas = {}
+        for sid in sorted(s.measurements):
+            alpha, beta = s.measurements[sid]
+            meas[sid] = (
+                alpha + rng.normal(0.0, 1.0, 3) * sigma_alpha,
+                beta + rng.normal(0.0, 1.0, 3) * sigma_beta,
+            )
+        out.append(chain.TrajectorySample(s.t, s.theta, s.theta_dot, s.theta_ddot, meas))
+    return out
+
+
+def assert_identical(got, ref):
+    """Exactly the same floats, signs of zeros included."""
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def assert_same_samples(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.t == r.t
+        for name in ("theta", "theta_dot", "theta_ddot"):
+            assert_identical(getattr(g, name), getattr(r, name))
+        assert list(g.measurements) == list(r.measurements)
+        for sid, (alpha, beta) in r.measurements.items():
+            assert_identical(g.measurements[sid][0], alpha)
+            assert_identical(g.measurements[sid][1], beta)
+
+
+class TestBatchedBitIdentity:
+    """The batched kinematics give the very floats of the per-sample
+    reference above."""
+
+    @pytest.mark.parametrize("name", robots.BUILTIN_NAMES)
+    def test_analytic_jacobian_equals_per_sample(self, name):
+        spec = robots.builtin_robot(name, sensors_per_link=2)
+        rng = np.random.default_rng(21)
+        thetas = rng.uniform(-np.pi, np.pi, (64, spec.n_joints))
+        for sid in spec.sensor_ids:
+            ref = np.stack([ref_jacobian(spec, th, sid) for th in thetas])
+            assert_identical(chain.analytic_jacobian(spec, thetas, sid), ref)
+            assert_identical(chain.analytic_jacobian(spec, thetas[0], sid), ref[0])
+
+    @pytest.mark.parametrize("sensors_per_link", [1, 2])
+    @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "no-gravity"])
+    @pytest.mark.parametrize("mode", ["sinusoidal", "smooth_random"])
+    def test_trajectory_equals_per_sample(self, mode, gravity, sensors_per_link):
+        for name in robots.BUILTIN_NAMES:
+            spec = robots.builtin_robot(name, sensors_per_link=sensors_per_link)
+            if not gravity:
+                spec = RobotSpec(spec.topology, spec.joints, spec.mounts, np.zeros(3))
+            got = chain.gen_trajectory(spec, mode=mode, duration=0.3, rate=100, seed=6)
+            assert_same_samples(got, _ref_trajectory(spec, mode, 0.3, 100, 6))
+
+    @pytest.mark.parametrize("moving", [True, False], ids=["moving", "at-rest"])
+    def test_single_state_synthesis_equals_per_sample(self, branched, moving):
+        rng = np.random.default_rng(22)
+        states = rng.uniform(-2.0, 2.0, (3, branched.n_joints))
+        if not moving:
+            states[1:] = 0.0  # zero body rate: the identity branch
+        got = chain.synthesize_imu(branched, *states, 0.02)
+        ref = _ref_imu(branched, *states, 0.02)
+        assert list(got) == list(ref)
+        for sid in ref:
+            assert_identical(got[sid][0], ref[sid][0])
+            assert_identical(got[sid][1], ref[sid][1])
+            for g, r in zip(
+                chain.pose_with_time_derivatives(branched, sid, *states),
+                _ref_pose_triple(branched, sid, *states),
+            ):
+                assert_identical(g, r)
+
+    def test_rigid_motion_stacks_equal_per_vector(self):
+        rng = np.random.default_rng(23)
+        omegas = np.concatenate([
+            rng.normal(scale=2.0, size=(500, 3)),
+            np.zeros((1, 3)),
+            np.full((1, 3), 1e-13),  # below ZERO_RATE
+        ])
+        got = rm.rodrigues(omegas, 0.01)
+        assert_identical(got, np.stack([_ref_rodrigues(w, 0.01) for w in omegas]))
+        # pitch at +-pi/2 takes the singular branch
+        rots = np.concatenate([
+            got,
+            np.stack([rm.rpy_matrix([0.3, p, -0.2]) for p in (np.pi / 2, -np.pi / 2)]),
+        ])
+        assert_identical(
+            rm.rpy_from_matrix(rots), np.stack([_ref_rpy_from_matrix(r) for r in rots])
+        )
+
+    def test_add_noise_equals_per_sample_loop(self):
+        spec = robots.builtin_robot("robot3", sensors_per_link=2)
+        base = chain.gen_trajectory(spec, duration=0.5, rate=100)
+        assert_same_samples(
+            chain.add_noise(base, 0.05, 0.01, seed=8),
+            _ref_add_noise(base, 0.05, 0.01, 8),
+        )

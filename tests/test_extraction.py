@@ -5,6 +5,8 @@ from bodyschema import chain, extraction as ex, rigid_motion as rm, robots
 from bodyschema import topology as tp
 from bodyschema.errors import DegenerateSensorError
 
+from test_chain import ref_jacobian
+
 # worked filtering example: max over rows then unit normalization
 WORKED_JBAR = np.array(
     [
@@ -63,7 +65,11 @@ class TestAggregation:
     def test_variance_of_constant_tij_is_zero(self):
         jac = np.ones((12, 3))
         assert np.array_equal(
-            ex.tij_aggregate(lambda t: jac, [np.zeros(3), np.ones(3)], method="variance"),
+            ex.tij_aggregate(
+                lambda t: np.broadcast_to(jac, (len(t), 12, 3)),
+                [np.zeros(3), np.ones(3)],
+                method="variance",
+            ),
             np.zeros((4, 3)),
         )
 
@@ -98,6 +104,31 @@ class TestAggregation:
         moment = ex.tij_aggregate(jac_fn, thetas, method="second_moment")
         assert var[:, own].max() < 1e-12
         assert moment[:, own].max() > 1e-3
+
+    @pytest.mark.parametrize("method", ["variance", "mean", "second_moment", "rms"])
+    def test_batched_aggregate_equals_per_sample(self, method):
+        # the per-configuration squash and stack the single batched call replaced
+        def per_sample(jac_fn, thetas):
+            squashes = [np.linalg.norm(jac_fn(th).reshape(4, 3, -1), axis=1) for th in thetas]
+            stack = np.stack(squashes)
+            return {
+                "variance": stack.var(axis=0),
+                "mean": stack.mean(axis=0),
+                "second_moment": (stack**2).mean(axis=0),
+                "rms": np.sqrt((stack**2).mean(axis=0)),
+            }[method]
+
+        for name in robots.BUILTIN_NAMES:
+            spec = robots.builtin_robot(name)
+            rng = np.random.default_rng(4)
+            thetas = [rng.uniform(-np.pi, np.pi, spec.n_joints) for _ in range(64)]
+            for sid in spec.sensor_ids:
+                got = ex.tij_aggregate(
+                    lambda t, s=sid: chain.analytic_jacobian(spec, t, s), thetas, method
+                )
+                ref = per_sample(lambda t, s=sid: ref_jacobian(spec, t, s), thetas)
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_rms_is_sqrt_of_second_moment(self, oracle):
         spec, thetas = oracle
@@ -214,7 +245,7 @@ class TestReduceRows:
         ]
 
 
-class TestOptimizeDelta:
+class TestSeparationScore:
     """The separation objective that δ selection breaks ties with."""
 
     def test_lambda_zero_drops_entropy_term(self):

@@ -267,6 +267,25 @@ class TestCli:
         path.write_text("{not json")
         assert cli.main(["to-tree", "--matrix", str(path)]) == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize(
+        "bad, fields",
+        [
+            ("mode", {"mode": "bogus"}),
+            ("aggregate", {"aggregate": "nope"}),
+            ("duration", {"mode": "learned", "duration": -1}),
+            ("sensors_per_link", {"sensors_per_link": "two"}),
+        ],
+        ids=["mode", "aggregate", "duration", "sensors_per_link"],
+    )
+    def test_run_manifest_bad_value_exit_code(self, tmp_path, capsys, bad, fields):
+        # a value the pipeline cannot run with is a malformed manifest, caught
+        # before the run starts: exit 2 naming the field, no traceback
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"robot": "robot3", **fields}))
+        assert cli.main(["run", "--manifest", str(path)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error") and repr(bad) in err
+
     def test_run_subcommand(self, tmp_path, capsys):
         assert cli.main([
             "run", "--robot", "robot6", "--mode", "oracle-fk", "--seed", "1",

@@ -328,6 +328,49 @@ class TestKernelBitIdentity:
         assert fast.final_loss == ref.final_loss
 
 
+def _ref_pose_jacobian(net, theta):
+    """The 12xN pose-net Jacobian at one configuration."""
+    n = net.n_joints
+    x = np.atleast_2d(theta)
+    tangents = np.eye(n)
+    for w, b in net.hidden:
+        s = pn._sigmoid(x @ w.T + b)
+        tangents = (tangents @ w.T) * (s * (1.0 - s))
+        x = s
+    wt, _ = net.head_t
+    wr, br = net.head_r
+    db = tangents @ wt.T
+    dr = tangents @ wr.T
+    ang = (x @ wr.T + br)[0][None, :]
+    f1, f1d, _ = pn._axis_rot_batch(0, ang[:, 0])
+    f2, f2d, _ = pn._axis_rot_batch(1, ang[:, 1])
+    f3, f3d, _ = pn._axis_rot_batch(2, ang[:, 2])
+    d_roll = (f3 @ f2 @ f1d)[0]
+    d_pitch = (f3 @ f2d @ f1)[0]
+    d_yaw = (f3d @ f2 @ f1)[0]
+    jac = np.zeros((12, n))
+    for j in range(n):
+        drot = d_roll * dr[j, 0] + d_pitch * dr[j, 1] + d_yaw * dr[j, 2]
+        jac[0:9, j] = drot.T.ravel()
+        jac[9:12, j] = db[j]
+    return jac
+
+
+class TestPoseJacobianBitIdentity:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stack_equals_per_sample(self, seed):
+        rng = np.random.default_rng(seed)
+        net = pn.init_pose_net(5, widths=(16, 16, 16), seed=seed)
+        for p in net.params():
+            p += rng.normal(scale=0.5, size=p.shape)  # non-zero biases too
+        thetas = rng.uniform(-np.pi, np.pi, (64, 5))
+        ref = np.stack([_ref_pose_jacobian(net, th) for th in thetas])
+        got = pn.pose_jacobian(net, thetas)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.array_equal(pn.pose_jacobian(net, thetas[0]), ref[0])
+
+
 class TestSerialization:
     def test_roundtrip(self, small_net, tmp_path):
         path = tmp_path / "net.json"
