@@ -3,7 +3,7 @@ sensing and joint encoders: per-sensor pose learning, dependency-matrix
 extraction, tree/matrix equivalence machinery, and repair of partial or
 contradictory matrices."""
 
-from .chain import Joint, RobotSpec, TrajectorySample
+from .chain import Joint, RobotSpec, Trajectory
 from .correction import CorrectionResult
 from .errors import (
     BodySchemaError,
@@ -37,7 +37,7 @@ __all__ = [
     "SensorDataset",
     "TrainConfig",
     "TrainResult",
-    "TrajectorySample",
+    "Trajectory",
     "run_pipeline",
 ]
 

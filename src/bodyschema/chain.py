@@ -14,7 +14,7 @@ body angular velocity exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,18 +110,24 @@ class RobotSpec:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    """One timestamped proprioception + exteroception record.
+class Trajectory:
+    """Timestamped proprioception and exteroception records as arrays.
 
-    ``measurements`` maps sensor id to (alpha_b, beta_b): body-frame linear
-    acceleration and roll-pitch-yaw rates.
+    ``theta``, ``theta_dot`` and ``theta_ddot`` are (T, N) joint states in
+    ``joint_order``; ``alpha`` and ``beta`` are (T, S, 3) body-frame linear
+    accelerations and roll-pitch-yaw rates of the sensors in ``sensor_ids``.
     """
 
-    t: float
+    sensor_ids: tuple[str, ...]
+    t: np.ndarray
     theta: np.ndarray
     theta_dot: np.ndarray
     theta_ddot: np.ndarray
-    measurements: dict[str, tuple[np.ndarray, np.ndarray]]
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,7 @@ def gen_trajectory(
     seed: int = 0,
     bandwidth: float = 0.3,
     table=SINUSOID_TABLE,
-) -> list[TrajectorySample]:
+) -> Trajectory:
     """Sample a joint trajectory at ``rate`` Hz and synthesize noiseless
     measurements at each step."""
     if duration <= 0 or rate <= 0:
@@ -403,55 +409,40 @@ def gen_trajectory(
     else:
         raise ValueError(f"unknown trajectory mode {mode!r}")
 
-    steps = int(round(duration * rate)) + 1
-    theta, theta_dot, theta_ddot = state(np.arange(steps) * ts)
+    t = np.arange(int(round(duration * rate)) + 1) * ts
+    theta, theta_dot, theta_ddot = state(t)
     meas = synthesize_imu(spec, theta, theta_dot, theta_ddot, ts)
-    return [
-        TrajectorySample(
-            k * ts,
-            theta[k],
-            theta_dot[k],
-            theta_ddot[k],
-            {sid: (alpha[k], beta[k]) for sid, (alpha, beta) in meas.items()},
-        )
-        for k in range(steps)
-    ]
+    return Trajectory(
+        spec.sensor_ids,
+        t,
+        theta,
+        theta_dot,
+        theta_ddot,
+        np.stack([alpha for alpha, _ in meas.values()], axis=1),
+        np.stack([beta for _, beta in meas.values()], axis=1),
+    )
 
 
 def add_noise(
-    samples: list[TrajectorySample],
+    traj: Trajectory,
     sigma_alpha: float = 0.05,
     sigma_beta: float = 0.01,
     seed: int = 0,
-) -> list[TrajectorySample]:
+) -> Trajectory:
     """Add iid Gaussian noise to the measurements; deterministic per seed,
     identity when both sigmas are zero."""
     if sigma_alpha < 0 or sigma_beta < 0:
         raise ValueError("noise levels must be non-negative")
-    if not samples:
-        return []
-    sensors = sorted(samples[0].measurements)
+    ids = traj.sensor_ids
     # one draw in sample, sorted-sensor, alpha-then-beta order: the same
-    # numbers as three-value draws in that order
-    noise = np.random.default_rng(seed).normal(
-        0.0, 1.0, (len(samples), len(sensors), 2, 3)
+    # numbers as three-value draws in that order, whatever the sensor order
+    noise = np.random.default_rng(seed).normal(0.0, 1.0, (len(traj), len(ids), 2, 3))
+    noise = noise[:, [sorted(ids).index(sid) for sid in ids]]
+    return replace(
+        traj,
+        alpha=traj.alpha + noise[:, :, 0] * sigma_alpha,
+        beta=traj.beta + noise[:, :, 1] * sigma_beta,
     )
-    return [
-        TrajectorySample(
-            s.t,
-            s.theta,
-            s.theta_dot,
-            s.theta_ddot,
-            {
-                sid: (
-                    s.measurements[sid][0] + z[0] * sigma_alpha,
-                    s.measurements[sid][1] + z[1] * sigma_beta,
-                )
-                for sid, z in zip(sensors, n)
-            },
-        )
-        for s, n in zip(samples, noise)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +491,15 @@ def load_robot(path) -> RobotSpec:
         return robot_from_json_dict(json.load(f))
 
 
-def save_trajectory(samples: list[TrajectorySample], spec: RobotSpec, path) -> None:
-    """JSONL: one metadata line, then one sample per line."""
+_STATES = ("t", "theta", "theta_dot", "theta_ddot")
+
+
+def save_trajectory(traj: Trajectory, spec: RobotSpec, path) -> None:
+    """JSONL: one metadata line, then one sample per line with its sensors
+    in sorted order."""
+    states = [getattr(traj, name).tolist() for name in _STATES]
+    alpha, beta = traj.alpha.tolist(), traj.beta.tolist()
+    order = sorted(range(len(traj.sensor_ids)), key=traj.sensor_ids.__getitem__)
     with open(path, "w") as f:
         meta = {
             "meta": {
@@ -511,23 +509,19 @@ def save_trajectory(samples: list[TrajectorySample], spec: RobotSpec, path) -> N
             }
         }
         f.write(json.dumps(meta) + "\n")
-        for s in samples:
-            rec = {
-                "t": s.t,
-                "theta": s.theta.tolist(),
-                "theta_dot": s.theta_dot.tolist(),
-                "theta_ddot": s.theta_ddot.tolist(),
-                "sensors": {
-                    sid: {"alpha": a.tolist(), "beta": b.tolist()}
-                    for sid, (a, b) in sorted(s.measurements.items())
-                },
+        for k in range(len(traj)):
+            rec = {name: column[k] for name, column in zip(_STATES, states)}
+            rec["sensors"] = {
+                traj.sensor_ids[j]: {"alpha": alpha[k][j], "beta": beta[k][j]}
+                for j in order
             }
             f.write(json.dumps(rec) + "\n")
 
 
-def load_trajectory(path):
-    """Returns (samples, meta dict)."""
-    samples = []
+def load_trajectory(path) -> tuple[Trajectory, dict]:
+    """Returns (trajectory, meta dict); the sensors are the metadata's, and
+    every sample must carry each of them and every joint."""
+    records = []
     meta = None
     try:
         with open(path) as f:
@@ -538,22 +532,27 @@ def load_trajectory(path):
                 rec = json.loads(line)
                 if "meta" in rec:
                     meta = rec["meta"]
-                    continue
-                meas = {
-                    sid: (np.array(v["alpha"]), np.array(v["beta"]))
-                    for sid, v in rec["sensors"].items()
-                }
-                samples.append(
-                    TrajectorySample(
-                        rec["t"],
-                        np.array(rec["theta"]),
-                        np.array(rec["theta_dot"]),
-                        np.array(rec["theta_ddot"]),
-                        meas,
-                    )
-                )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                else:
+                    records.append(rec)
+        if meta is None:
+            raise SchemaError(f"trajectory file {path} missing metadata line")
+        if not records:
+            raise SchemaError(f"trajectory file {path} has no samples")
+        n, ids = len(meta["joints"]), tuple(meta["sensors"])
+        states = [np.array([rec[name] for rec in records], dtype=float) for name in _STATES]
+        alpha, beta = (
+            np.array([[rec["sensors"][sid][key] for sid in ids] for rec in records], dtype=float)
+            for key in ("alpha", "beta")
+        )
+    except KeyError as exc:
+        raise SchemaError(f"trajectory file {path} lacks {exc}") from exc
+    except (TypeError, ValueError, json.JSONDecodeError) as exc:
         raise SchemaError(f"malformed trajectory file {path}: {exc}") from exc
-    if meta is None:
-        raise SchemaError(f"trajectory file {path} missing metadata line")
-    return samples, meta
+    shapes = [x.shape for x in (*states, alpha, beta)]
+    size = len(records)
+    if shapes != [(size,)] + [(size, n)] * 3 + [(size, len(ids), 3)] * 2:
+        raise SchemaError(
+            f"trajectory file {path}: shapes {shapes} do not fit "
+            f"{n} joints and {len(ids)} sensors"
+        )
+    return Trajectory(ids, *states, alpha, beta), meta

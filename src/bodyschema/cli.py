@@ -63,6 +63,21 @@ def _manifest(args, manifest: ExperimentManifest | None = None) -> ExperimentMan
     return manifest
 
 
+def _load_trajectory(path, spec: chain.RobotSpec, sensors=()) -> chain.Trajectory:
+    """The trajectory file at ``path``, checked to be over the spec's joints
+    and to carry ``sensors``."""
+    traj, meta = chain.load_trajectory(path)
+    if meta["joints"] != list(spec.joint_order):
+        raise SchemaError(
+            f"trajectory file {path} is over joints {meta['joints']}, "
+            f"not the spec's {list(spec.joint_order)}"
+        )
+    missing = [sid for sid in sensors if sid not in traj.sensor_ids]
+    if missing:
+        raise SchemaError(f"trajectory file {path} lacks sensor(s) {', '.join(missing)}")
+    return traj
+
+
 def cmd_generate(args) -> int:
     spec = robots.builtin_robot(args.robot, sensors_per_link=args.sensors_per_link)
     chain.save_robot(spec, args.out)
@@ -72,20 +87,20 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = chain.load_robot(args.spec)
-    samples = simulate(spec, _manifest(args))
-    chain.save_trajectory(samples, spec, args.out)
-    print(f"wrote {args.out}: {len(samples)} samples at {args.rate} Hz")
+    traj = simulate(spec, _manifest(args))
+    chain.save_trajectory(traj, spec, args.out)
+    print(f"wrote {args.out}: {len(traj)} samples at {args.rate} Hz")
     return 0
 
 
 def cmd_train(args) -> int:
     spec = chain.load_robot(args.spec)
-    samples, _ = chain.load_trajectory(args.traj)
     manifest = _manifest(args)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     sensors = [args.sensor] if args.sensor else list(spec.sensor_ids)
+    traj = _load_trajectory(args.traj, spec, sensors)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     for sid in sensors:
-        result = train_sensor(spec, samples, sid, manifest)
+        result = train_sensor(spec, traj, sid, manifest)
         path = net_file(args.out_dir, sid)
         pose_net.save_net(result.net, path)
         print(f"{sid}: final loss {result.final_loss:.4f} -> {path}")
@@ -96,17 +111,17 @@ def cmd_extract(args) -> int:
     spec = chain.load_robot(args.spec)
     manifest = _manifest(args)
     manifest.mode = "learned" if args.nets_dir else "oracle-fk"
-    samples = nets = None
+    traj = nets = None
     if args.nets_dir:
         if not args.traj:
             raise SchemaError("--nets-dir requires --traj to sample configurations")
-        samples, _ = chain.load_trajectory(args.traj)
+        traj = _load_trajectory(args.traj, spec)
         nets = {
             sid: pose_net.load_net(net_file(args.nets_dir, sid))
             for sid in spec.sensor_ids
         }
     # the same sampling rule as ``run`` for this seed and mode
-    thetas = _extraction_thetas(spec, samples, manifest)
+    thetas = _extraction_thetas(spec, traj, manifest)
     dprimes, skipped = sensor_features(
         jacobian_fns(spec, nets), thetas, manifest.aggregate
     )

@@ -173,10 +173,10 @@ def _sensor_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + 7919 * index) % 2**31
 
 
-def simulate(spec: chain.RobotSpec, manifest: ExperimentManifest):
+def simulate(spec: chain.RobotSpec, manifest: ExperimentManifest) -> chain.Trajectory:
     """The manifest's trajectory, with its measurement noise when a sigma is
     non-zero."""
-    samples = chain.gen_trajectory(
+    traj = chain.gen_trajectory(
         spec,
         mode=manifest.trajectory_mode,
         duration=manifest.duration,
@@ -184,10 +184,10 @@ def simulate(spec: chain.RobotSpec, manifest: ExperimentManifest):
         seed=manifest.seed,
     )
     if manifest.sigma_alpha or manifest.sigma_beta:
-        samples = chain.add_noise(
-            samples, manifest.sigma_alpha, manifest.sigma_beta, seed=manifest.seed
+        traj = chain.add_noise(
+            traj, manifest.sigma_alpha, manifest.sigma_beta, seed=manifest.seed
         )
-    return samples
+    return traj
 
 
 def net_file(directory, sensor_id: str) -> Path:
@@ -197,7 +197,7 @@ def net_file(directory, sensor_id: str) -> Path:
 
 def train_sensor(
     spec: chain.RobotSpec,
-    samples,
+    traj: chain.Trajectory,
     sensor_id: str,
     manifest: ExperimentManifest,
 ) -> pose_net.TrainResult:
@@ -212,7 +212,7 @@ def train_sensor(
         optimizer=manifest.optimizer,
         momentum=manifest.momentum,
     )
-    dataset = pose_net.SensorDataset.from_samples(samples, sensor_id)
+    dataset = pose_net.SensorDataset.from_samples(traj, sensor_id)
     net = pose_net.init_pose_net(
         spec.n_joints,
         widths=(manifest.hidden_width,) * 3,
@@ -221,18 +221,17 @@ def train_sensor(
     return pose_net.train(net, dataset, cfg)
 
 
-def _extraction_thetas(spec, samples, manifest: ExperimentManifest):
+def _extraction_thetas(spec, traj, manifest: ExperimentManifest) -> np.ndarray:
+    """(theta_samples, N) configurations: distinct trajectory rows in time
+    order in learned mode, uniform angles in oracle mode."""
     rng = np.random.default_rng(manifest.seed + 2)
     if manifest.mode == "learned":
         # stay on the distribution the nets were trained on
         idx = rng.choice(
-            len(samples), size=min(manifest.theta_samples, len(samples)), replace=False
+            len(traj), size=min(manifest.theta_samples, len(traj)), replace=False
         )
-        return [samples[i].theta for i in sorted(idx)]
-    return [
-        rng.uniform(-np.pi, np.pi, spec.n_joints)
-        for _ in range(manifest.theta_samples)
-    ]
+        return traj.theta[np.sort(idx)]
+    return rng.uniform(-np.pi, np.pi, (manifest.theta_samples, spec.n_joints))
 
 
 def jacobian_fns(spec: chain.RobotSpec, nets=None) -> dict:
@@ -442,7 +441,7 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
     # only the learned mode reads a trajectory: the oracle draws its
     # configurations uniformly
     t0 = time.perf_counter()
-    samples = simulate(spec, manifest) if manifest.mode == "learned" else None
+    traj = simulate(spec, manifest) if manifest.mode == "learned" else None
     timings["simulate"] = time.perf_counter() - t0
 
     out_dir = Path(manifest.out_dir) if manifest.out_dir else None
@@ -451,10 +450,10 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
         chain.save_robot(spec, out_dir / "robot.json")
 
     t0 = time.perf_counter()
-    thetas = _extraction_thetas(spec, samples, manifest)
+    thetas = _extraction_thetas(spec, traj, manifest)
     if manifest.mode == "learned":
         nets = {
-            sid: train_sensor(spec, samples, sid, manifest).net
+            sid: train_sensor(spec, traj, sid, manifest).net
             for sid in spec.sensor_ids
         }
         if out_dir:

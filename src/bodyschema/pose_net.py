@@ -179,18 +179,6 @@ def _rpy_batch(ang: np.ndarray) -> np.ndarray:
     )
 
 
-def _hat_batch(v: np.ndarray) -> np.ndarray:
-    b = v.shape[0]
-    k = np.zeros((b, 3, 3))
-    k[:, 0, 1] = -v[:, 2]
-    k[:, 0, 2] = v[:, 1]
-    k[:, 1, 0] = v[:, 2]
-    k[:, 1, 2] = -v[:, 0]
-    k[:, 2, 0] = -v[:, 1]
-    k[:, 2, 1] = v[:, 0]
-    return k
-
-
 def _vee_star_batch(m: np.ndarray) -> np.ndarray:
     return np.stack(
         [
@@ -468,7 +456,7 @@ def _batch_loss_and_grads(
     omega = 0.5 * _vee_star_batch(w_mat)
     sigma = np.linalg.norm(omega, axis=1)
     fc1, fc2, gc1, gc2 = _rodrigues_coeffs(sigma, ts)
-    k_mat = _hat_batch(omega)
+    k_mat = rm.hat(omega)
     k2_mat = k_mat @ k_mat
     r1 = (
         np.eye(3)[None, :, :]
@@ -499,7 +487,7 @@ def _batch_loss_and_grads(
     omega_bar = _vee_star_batch(k_bar)
     omega_bar += ((fc1_bar * gc1 + fc2_bar * gc2)[:, None]) * omega
 
-    w_bar = 0.5 * _hat_batch(omega_bar)
+    w_bar = 0.5 * rm.hat(omega_bar)
     rot_bar += np.einsum("bik,bjk->bij", rot_d, w_bar)  # Rdot @ Wbar^T
     rot_d_bar = rot @ w_bar
 
@@ -597,13 +585,12 @@ class SensorDataset:
         return len(self.theta)
 
     @classmethod
-    def from_samples(cls, samples, sensor_id: str) -> "SensorDataset":
-        theta = np.stack([s.theta for s in samples])
-        theta_dot = np.stack([s.theta_dot for s in samples])
-        theta_ddot = np.stack([s.theta_ddot for s in samples])
-        alpha = np.stack([s.measurements[sensor_id][0] for s in samples])
-        beta = np.stack([s.measurements[sensor_id][1] for s in samples])
-        return cls(theta, theta_dot, theta_ddot, alpha, beta)
+    def from_samples(cls, traj, sensor_id: str) -> "SensorDataset":
+        """One sensor's columns of a ``chain.Trajectory``, without copying."""
+        k = traj.sensor_ids.index(sensor_id)
+        return cls(
+            traj.theta, traj.theta_dot, traj.theta_ddot, traj.alpha[:, k], traj.beta[:, k]
+        )
 
 
 @dataclass(frozen=True)

@@ -132,18 +132,6 @@ def translate(v: np.ndarray) -> np.ndarray:
     return make_transform(np.eye(3), v)
 
 
-def identity_transform() -> np.ndarray:
-    return np.eye(4)
-
-
-def rotation_of(t: np.ndarray) -> np.ndarray:
-    return np.asarray(t, dtype=float)[:3, :3]
-
-
-def translation_of(t: np.ndarray) -> np.ndarray:
-    return np.asarray(t, dtype=float)[:3, 3]
-
-
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
     out[3] = (0.0, 0.0, 0.0, 1.0)

@@ -328,18 +328,18 @@ def test_criterion_9_numerics():
     # synthesized accelerometer readings against a time-difference oracle
     quiet = chain.RobotSpec(spec.topology, spec.joints, spec.mounts, np.zeros(3))
     rate = 100.0
-    samples = chain.gen_trajectory(quiet, duration=0.5, rate=rate)
+    traj = chain.gen_trajectory(quiet, duration=0.5, rate=rate)
     h = 1.0 / rate
     worst_alpha = 0.0
-    for k in range(1, len(samples) - 1):
-        s = samples[k]
-        poses = chain.fk(quiet, s.theta)
-        prev = chain.fk(quiet, samples[k - 1].theta)
-        nxt = chain.fk(quiet, samples[k + 1].theta)
+    for k in range(1, len(traj) - 1):
+        poses = chain.fk(quiet, traj.theta[k])
+        prev = chain.fk(quiet, traj.theta[k - 1])
+        nxt = chain.fk(quiet, traj.theta[k + 1])
         for sid in ("l1:0", "l5:1"):
             b_dd = (nxt[sid][:3, 3] - 2 * poses[sid][:3, 3] + prev[sid][:3, 3]) / h**2
             alpha_fd = poses[sid][:3, :3].T @ b_dd
-            worst_alpha = max(worst_alpha, np.abs(alpha_fd - s.measurements[sid][0]).max())
+            alpha = traj.alpha[k, traj.sensor_ids.index(sid)]
+            worst_alpha = max(worst_alpha, np.abs(alpha_fd - alpha).max())
 
     ok = worst_tij < 1e-9 and worst_grad < 1e-4 and worst_alpha < 1e-4
     _report(

@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -140,18 +141,18 @@ class TestMeasurementSynthesis:
         # position along the trajectory, rotated into the body frame
         quiet = RobotSpec(serial.topology, serial.joints, serial.mounts, np.zeros(3))
         rate = 100.0
-        samples = chain.gen_trajectory(quiet, duration=1.0, rate=rate)
+        traj = chain.gen_trajectory(quiet, duration=1.0, rate=rate)
         h = 1.0 / rate
         worst = 0.0
-        for k in range(1, len(samples) - 1):
-            s = samples[k]
-            poses = chain.fk(quiet, s.theta)
-            prev = chain.fk(quiet, samples[k - 1].theta)
-            nxt = chain.fk(quiet, samples[k + 1].theta)
+        for k in range(1, len(traj) - 1):
+            poses = chain.fk(quiet, traj.theta[k])
+            prev = chain.fk(quiet, traj.theta[k - 1])
+            nxt = chain.fk(quiet, traj.theta[k + 1])
             for sid in ("l2:0", "l5:1"):
                 b_dd = (nxt[sid][:3, 3] - 2 * poses[sid][:3, 3] + prev[sid][:3, 3]) / h**2
                 alpha_fd = poses[sid][:3, :3].T @ b_dd
-                worst = max(worst, np.abs(alpha_fd - s.measurements[sid][0]).max())
+                alpha = traj.alpha[k, traj.sensor_ids.index(sid)]
+                worst = max(worst, np.abs(alpha_fd - alpha).max())
         assert worst < 1e-4
 
     def test_beta_integrates_to_true_rotation(self, serial):
@@ -172,45 +173,43 @@ class TestMeasurementSynthesis:
 class TestTrajectories:
     def test_zero_amplitude_is_constant(self, serial):
         table = ((0.0, 0.1, 0.1),) * 5
-        samples = chain.gen_trajectory(serial, duration=0.2, rate=50, table=table)
-        for s in samples:
-            assert np.allclose(s.theta, 0.0)
+        traj = chain.gen_trajectory(serial, duration=0.2, rate=50, table=table)
+        assert np.allclose(traj.theta, 0.0)
 
     def test_first_table_row_initial_velocity(self, serial):
-        samples = chain.gen_trajectory(serial, duration=0.1, rate=100)
-        assert abs(samples[0].theta_dot[0] - 0.2 * np.sin(0.1)) < 1e-12
+        traj = chain.gen_trajectory(serial, duration=0.1, rate=100)
+        assert abs(traj.theta_dot[0, 0] - 0.2 * np.sin(0.1)) < 1e-12
 
     def test_velocity_matches_position_fd(self, serial):
         # central differences of theta carry an h^2 theta''' / 6 truncation
         # term, about 6e-6 at the fastest table row and 100 Hz
-        samples = chain.gen_trajectory(serial, duration=1.0, rate=100)
+        traj = chain.gen_trajectory(serial, duration=1.0, rate=100)
         h = 0.01
         worst = 0.0
-        for k in range(1, len(samples) - 1):
-            fd = (samples[k + 1].theta - samples[k - 1].theta) / (2 * h)
-            worst = max(worst, np.abs(fd - samples[k].theta_dot).max())
+        for k in range(1, len(traj) - 1):
+            fd = (traj.theta[k + 1] - traj.theta[k - 1]) / (2 * h)
+            worst = max(worst, np.abs(fd - traj.theta_dot[k]).max())
         assert worst < 1e-5
 
     def test_smooth_random_is_seeded_and_consistent(self, serial):
         a = chain.gen_trajectory(serial, mode="smooth_random", duration=0.3, rate=50, seed=7)
         b = chain.gen_trajectory(serial, mode="smooth_random", duration=0.3, rate=50, seed=7)
-        assert all(np.array_equal(x.theta, y.theta) for x, y in zip(a, b))
+        assert np.array_equal(a.theta, b.theta)
         h = 0.02
         for k in range(1, len(a) - 1):
-            fd = (a[k + 1].theta - a[k - 1].theta) / (2 * h)
-            assert np.abs(fd - a[k].theta_dot).max() < 1e-4
+            fd = (a.theta[k + 1] - a.theta[k - 1]) / (2 * h)
+            assert np.abs(fd - a.theta_dot[k]).max() < 1e-4
 
     def test_bad_mode_rejected(self, serial):
         with pytest.raises(ValueError):
             chain.gen_trajectory(serial, mode="warp", duration=1.0)
 
     def test_all_measurements_finite(self, serial):
-        samples = chain.gen_trajectory(serial, duration=0.5, rate=50)
-        for s in samples:
-            assert np.isfinite(s.theta).all()
-            assert len(s.measurements) == len(serial.sensor_ids)
-            for alpha, beta in s.measurements.values():
-                assert np.isfinite(alpha).all() and np.isfinite(beta).all()
+        traj = chain.gen_trajectory(serial, duration=0.5, rate=50)
+        assert np.isfinite(traj.theta).all()
+        assert traj.sensor_ids == serial.sensor_ids
+        assert traj.alpha.shape == traj.beta.shape == (len(traj), len(serial.sensor_ids), 3)
+        assert np.isfinite(traj.alpha).all() and np.isfinite(traj.beta).all()
 
 
 @pytest.fixture(scope="module")
@@ -222,17 +221,13 @@ class TestNoise:
 
     def test_zero_sigma_identity(self, short_traj):
         noisy = chain.add_noise(short_traj, 0.0, 0.0, seed=1)
-        for a, b in zip(short_traj, noisy):
-            for sid in a.measurements:
-                assert np.array_equal(a.measurements[sid][0], b.measurements[sid][0])
-                assert np.array_equal(a.measurements[sid][1], b.measurements[sid][1])
+        assert np.array_equal(short_traj.alpha, noisy.alpha)
+        assert np.array_equal(short_traj.beta, noisy.beta)
 
     def test_same_seed_identical(self, short_traj):
         n1 = chain.add_noise(short_traj, 0.05, 0.01, seed=3)
         n2 = chain.add_noise(short_traj, 0.05, 0.01, seed=3)
-        for a, b in zip(n1, n2):
-            for sid in a.measurements:
-                assert np.array_equal(a.measurements[sid][0], b.measurements[sid][0])
+        assert np.array_equal(n1.alpha, n2.alpha)
 
     def test_noise_statistics(self):
         # mean of the added noise over many draws stays within 3 sigma/sqrt(n)
@@ -240,12 +235,8 @@ class TestNoise:
         spec = one_joint_robot()
         base = chain.gen_trajectory(spec, duration=rng_draws / 100.0, rate=100)
         noisy = chain.add_noise(base, 0.05, 0.0, seed=9)
-        diffs = np.stack(
-            [
-                n.measurements["l1:0"][0] - b.measurements["l1:0"][0]
-                for b, n in zip(base, noisy)
-            ]
-        )
+        j = base.sensor_ids.index("l1:0")
+        diffs = noisy.alpha[:, j] - base.alpha[:, j]
         n = diffs.shape[0]
         assert np.abs(diffs.mean(axis=0)).max() < 3 * 0.05 / np.sqrt(n)
 
@@ -268,15 +259,32 @@ class TestSerialization:
 
     def test_trajectory_roundtrip(self, serial, tmp_path):
         path = tmp_path / "traj.jsonl"
-        samples = chain.gen_trajectory(serial, duration=0.1, rate=50)
-        chain.save_trajectory(samples, serial, path)
+        traj = chain.gen_trajectory(serial, duration=0.1, rate=50)
+        chain.save_trajectory(traj, serial, path)
         loaded, meta = chain.load_trajectory(path)
         assert meta["joints"] == list(serial.joint_order)
-        assert len(loaded) == len(samples)
-        for a, b in zip(samples, loaded):
-            assert np.allclose(a.theta, b.theta)
-            for sid in a.measurements:
-                assert np.allclose(a.measurements[sid][0], b.measurements[sid][0])
+        assert len(loaded) == len(traj)
+        assert np.allclose(traj.theta, loaded.theta)
+        assert np.allclose(traj.alpha, loaded.alpha)
+
+    def test_trajectory_roundtrip_exact(self, branched, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        traj = chain.add_noise(
+            chain.gen_trajectory(branched, mode="smooth_random", duration=0.2, rate=50, seed=2),
+            0.05, 0.01, seed=2,
+        )
+        chain.save_trajectory(traj, branched, path)
+        loaded, _ = chain.load_trajectory(path)
+        assert loaded.sensor_ids == traj.sensor_ids
+        for name in ("t", "theta", "theta_dot", "theta_ddot", "alpha", "beta"):
+            assert_identical(getattr(loaded, name), getattr(traj, name))
+
+    def test_trajectory_file_equals_per_sample_writer(self, branched, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        traj = chain.gen_trajectory(branched, duration=0.2, rate=50)
+        chain.save_trajectory(traj, branched, path)
+        ref = _ref_trajectory(branched, "sinusoidal", 0.2, 50, 0)
+        assert path.read_text() == _ref_trajectory_file(ref, branched)
 
     def test_malformed_robot_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -410,6 +418,10 @@ def _ref_state(mode, n, seed, t):
     return np.array(theta), np.array(theta_dot), np.array(theta_ddot)
 
 
+# one record; ``measurements`` maps sensor id to (alpha, beta)
+RefSample = namedtuple("RefSample", "t theta theta_dot theta_ddot measurements")
+
+
 def _ref_trajectory(spec, mode, duration, rate, seed):
     ts = 1.0 / rate
     samples = []
@@ -417,8 +429,27 @@ def _ref_trajectory(spec, mode, duration, rate, seed):
         t = k * ts
         theta, theta_dot, theta_ddot = _ref_state(mode, spec.n_joints, seed, t)
         meas = _ref_imu(spec, theta, theta_dot, theta_ddot, ts)
-        samples.append(chain.TrajectorySample(t, theta, theta_dot, theta_ddot, meas))
+        samples.append(RefSample(t, theta, theta_dot, theta_ddot, meas))
     return samples
+
+
+def _ref_trajectory_file(samples, spec):
+    """The JSONL text of the per-sample writer."""
+    meta = {"joints": list(spec.joint_order), "sensors": list(spec.sensor_ids),
+            "gravity": spec.gravity.tolist()}
+    lines = [json.dumps({"meta": meta})]
+    for s in samples:
+        lines.append(json.dumps({
+            "t": s.t,
+            "theta": s.theta.tolist(),
+            "theta_dot": s.theta_dot.tolist(),
+            "theta_ddot": s.theta_ddot.tolist(),
+            "sensors": {
+                sid: {"alpha": a.tolist(), "beta": b.tolist()}
+                for sid, (a, b) in sorted(s.measurements.items())
+            },
+        }))
+    return "\n".join(lines) + "\n"
 
 
 def _ref_add_noise(samples, sigma_alpha, sigma_beta, seed):
@@ -432,7 +463,7 @@ def _ref_add_noise(samples, sigma_alpha, sigma_beta, seed):
                 alpha + rng.normal(0.0, 1.0, 3) * sigma_alpha,
                 beta + rng.normal(0.0, 1.0, 3) * sigma_beta,
             )
-        out.append(chain.TrajectorySample(s.t, s.theta, s.theta_dot, s.theta_ddot, meas))
+        out.append(RefSample(s.t, s.theta, s.theta_dot, s.theta_ddot, meas))
     return out
 
 
@@ -443,15 +474,17 @@ def assert_identical(got, ref):
 
 
 def assert_same_samples(got, ref):
+    """A ``chain.Trajectory`` holds the per-sample reference's floats."""
     assert len(got) == len(ref)
-    for g, r in zip(got, ref):
-        assert g.t == r.t
+    for k, r in enumerate(ref):
+        assert got.t[k] == r.t
         for name in ("theta", "theta_dot", "theta_ddot"):
-            assert_identical(getattr(g, name), getattr(r, name))
-        assert list(g.measurements) == list(r.measurements)
+            assert_identical(getattr(got, name)[k], getattr(r, name))
+        assert sorted(got.sensor_ids) == sorted(r.measurements)
         for sid, (alpha, beta) in r.measurements.items():
-            assert_identical(g.measurements[sid][0], alpha)
-            assert_identical(g.measurements[sid][1], beta)
+            j = got.sensor_ids.index(sid)
+            assert_identical(got.alpha[k, j], alpha)
+            assert_identical(got.beta[k, j], beta)
 
 
 class TestBatchedBitIdentity:
@@ -477,6 +510,7 @@ class TestBatchedBitIdentity:
             if not gravity:
                 spec = RobotSpec(spec.topology, spec.joints, spec.mounts, np.zeros(3))
             got = chain.gen_trajectory(spec, mode=mode, duration=0.3, rate=100, seed=6)
+            assert got.sensor_ids == spec.sensor_ids
             assert_same_samples(got, _ref_trajectory(spec, mode, 0.3, 100, 6))
 
     @pytest.mark.parametrize("moving", [True, False], ids=["moving", "at-rest"])
@@ -520,5 +554,23 @@ class TestBatchedBitIdentity:
         base = chain.gen_trajectory(spec, duration=0.5, rate=100)
         assert_same_samples(
             chain.add_noise(base, 0.05, 0.01, seed=8),
-            _ref_add_noise(base, 0.05, 0.01, 8),
+            _ref_add_noise(_ref_trajectory(spec, "sinusoidal", 0.5, 100, 0), 0.05, 0.01, 8),
+        )
+
+    def test_add_noise_unsorted_sensor_ids_equals_per_sample_loop(self):
+        # "l1-tip" sorts before "l1:0" but its node after "l1": the noise is
+        # still drawn in sorted-sensor order
+        topo = OutTree({"l1": (None, "j1"), "l1-tip": ("l1", "j2")})
+        joints = {
+            "j1": Joint(np.array([0.0, 0.0, 1.0]), np.eye(4)),
+            "j2": Joint(np.array([0.0, 1.0, 0.0]), rm.make_transform(np.eye(3), [0.3, 0, 0])),
+        }
+        mount = rm.make_transform(rm.rot_x(0.2), [0.1, 0.02, 0.0])
+        spec = RobotSpec(topo, joints, {"l1": (mount, mount), "l1-tip": (mount,)})
+        assert list(spec.sensor_ids) != sorted(spec.sensor_ids)
+        base = chain.gen_trajectory(spec, mode="smooth_random", duration=0.3, rate=100, seed=4)
+        ref = _ref_trajectory(spec, "smooth_random", 0.3, 100, 4)
+        assert_same_samples(base, ref)
+        assert_same_samples(
+            chain.add_noise(base, 0.05, 0.01, seed=5), _ref_add_noise(ref, 0.05, 0.01, 5)
         )

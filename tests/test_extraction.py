@@ -298,7 +298,7 @@ class TestTrainedNetInvariance:
             learning_rate=0.02, epochs=40, batch_size=128, seed=0,
             ts=0.01, gravity=True, optimizer="adam",
         )
-        thetas = [traj[i].theta for i in range(0, 3000, 100)]
+        thetas = [traj.theta[i] for i in range(0, 3000, 100)]
         truth = {"l1:0": [1, 0], "l2:0": [1, 1]}
         for sid, want in truth.items():
             dataset = pn.SensorDataset.from_samples(traj, sid)

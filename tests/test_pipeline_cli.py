@@ -286,6 +286,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("schema error") and repr(bad) in err
 
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ("record-lacks-sensor", "l2:0"),
+            ("short-theta", "traj.jsonl"),
+            ("spec-sensor-missing", "l1:1"),
+            ("metadata-only", "traj.jsonl"),
+            ("other-joints", "traj.jsonl"),
+        ],
+        ids=[
+            "record-lacks-sensor", "short-theta", "spec-sensor-missing", "metadata-only",
+            "other-joints",
+        ],
+    )
+    def test_train_malformed_trajectory_exit_code(self, tmp_path, capsys, case, named):
+        # a trajectory that does not fit its own metadata or the spec is a
+        # malformed input: exit 2 naming the file or the sensor, no traceback
+        robot = tmp_path / "robot.json"
+        traj = tmp_path / "traj.jsonl"
+        cli.main(["generate", "--robot", "robot2", "--sensors-per-link", "1",
+                  "--out", str(robot)])
+        cli.main(["simulate", "--spec", str(robot), "--duration", "0.2",
+                  "--rate", "50", "--out", str(traj)])
+        meta, *records = traj.read_text().splitlines()
+        records = [json.loads(line) for line in records]
+        if case == "record-lacks-sensor":
+            del records[3]["sensors"]["l2:0"]
+        elif case == "short-theta":
+            records[3]["theta"] = records[3]["theta"][:-1]
+        elif case == "spec-sensor-missing":
+            cli.main(["generate", "--robot", "robot2", "--sensors-per-link", "2",
+                      "--out", str(robot)])
+        elif case == "metadata-only":
+            records = []
+        else:
+            meta = meta.replace('"j5"', '"j9"')
+        traj.write_text("\n".join([meta] + [json.dumps(r) for r in records]) + "\n")
+        capsys.readouterr()
+        assert cli.main([
+            "train", "--spec", str(robot), "--traj", str(traj), "--epochs", "1",
+            "--width", "4", "--out-dir", str(tmp_path / "nets"),
+        ]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error") and named in err
+
     def test_run_subcommand(self, tmp_path, capsys):
         assert cli.main([
             "run", "--robot", "robot6", "--mode", "oracle-fk", "--seed", "1",
@@ -453,14 +498,9 @@ class TestCli:
             sigma_alpha=0.05, sigma_beta=0.01,
         ))
         assert len(written) == len(expected)
-        for a, b in zip(written, expected):
-            assert a.t == b.t
-            for name in ("theta", "theta_dot", "theta_ddot"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert a.measurements.keys() == b.measurements.keys()
-            for sid, (alpha, beta) in b.measurements.items():
-                assert np.array_equal(a.measurements[sid][0], alpha)
-                assert np.array_equal(a.measurements[sid][1], beta)
+        assert written.sensor_ids == expected.sensor_ids
+        for name in ("t", "theta", "theta_dot", "theta_ddot", "alpha", "beta"):
+            assert np.array_equal(getattr(written, name), getattr(expected, name))
 
     def test_train_flags_reach_train_sensor(self, tmp_path, monkeypatch):
         seen = []

@@ -101,12 +101,13 @@ class TestLoss:
         spec = one_joint_robot()
         quiet = chain.RobotSpec(spec.topology, spec.joints, spec.mounts, np.zeros(3))
         for robot, gravity_vector in ((spec, spec.gravity), (quiet, None)):
-            samples = chain.gen_trajectory(robot, duration=1.0, rate=100)
-            for s in samples[::20]:
+            traj = chain.gen_trajectory(robot, duration=1.0, rate=100)
+            for k in range(0, len(traj), 20):
                 t, td, tdd = chain.pose_with_time_derivatives(
-                    robot, "l1:0", s.theta, s.theta_dot, s.theta_ddot
+                    robot, "l1:0", traj.theta[k], traj.theta_dot[k], traj.theta_ddot[k]
                 )
-                alpha, beta = s.measurements["l1:0"]
+                j = traj.sensor_ids.index("l1:0")
+                alpha, beta = traj.alpha[k, j], traj.beta[k, j]
                 value = pn.loss_from_pose(
                     t, td, tdd, alpha, beta, ts=0.01, gravity_vector=gravity_vector
                 )
