@@ -51,13 +51,6 @@ class PoseNet:
     def n_joints(self) -> int:
         return self.hidden[0][0].shape[1]
 
-    def copy(self) -> "PoseNet":
-        return PoseNet(
-            [(w.copy(), b.copy()) for w, b in self.hidden],
-            (self.head_t[0].copy(), self.head_t[1].copy()),
-            (self.head_r[0].copy(), self.head_r[1].copy()),
-        )
-
     def params(self) -> list[np.ndarray]:
         out = []
         for w, b in self.hidden:
@@ -214,22 +207,34 @@ def _rodrigues_coeffs(sigma: np.ndarray, ts: float):
 
 def _mlp_streams(net: PoseNet, theta, theta_dot, theta_ddot):
     """Propagate value / first / second time-derivative streams through the
-    hidden stack; returns the head inputs and per-layer caches."""
+    hidden stack; returns the head inputs and per-layer caches.
+
+    With s = sigmoid(a), s' = s1 = s (1 - s) and s'' = s1 (1 - 2s), so a
+    layer maps (x, u, v) to (s, s1 p, s1 ((1 - 2s) p^2 + q)) and caches
+    (s1, 1 - 2s, p^2) for the adjoints."""
     x = np.atleast_2d(np.asarray(theta, dtype=float))
     u = np.atleast_2d(np.asarray(theta_dot, dtype=float))
     v = np.atleast_2d(np.asarray(theta_ddot, dtype=float))
     caches = []
     for w, b in net.hidden:
-        a = x @ w.T + b
+        a = x @ w.T
+        a += b
         p = u @ w.T
         q = v @ w.T
-        s = _sigmoid(a)
-        s1 = s * (1.0 - s)
-        s2 = s1 * (1.0 - 2.0 * s)
-        caches.append((x, u, v, p, q, s, s1, s2))
+        s = np.exp(np.negative(a, out=a), out=a)  # _sigmoid, in place
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        s1 = 1.0 - s
+        s1 *= s
+        d = s * -2.0
+        d += 1.0
+        p2 = p * p
+        caches.append((x, u, v, p, q, s1, d, p2))
         x = s
         u = s1 * p
-        v = s2 * p * p + s1 * q
+        v = d * p2
+        v += q
+        v *= s1
     return x, u, v, caches
 
 
@@ -286,41 +291,14 @@ def _rotation_triple(r, rd, rdd):
     return rot, rot_d, rot_dd
 
 
-def time_derivatives(
-    net: PoseNet,
-    theta,
-    theta_dot,
-    theta_ddot,
-    mode: str = "analytic",
-    fd_step: float = 1e-4,
-):
-    """(T, dT/dt, d2T/dt2) along the given joint rates.
-
-    ``analytic`` propagates the two directional-derivative streams in closed
-    form; ``fd`` uses central differences of the forward map along
-    theta_dot (and theta_ddot for the curvature term).
-    """
+def time_derivatives(net: PoseNet, theta, theta_dot, theta_ddot):
+    """(T, dT/dt, d2T/dt2) along the given joint rates, from the two
+    directional-derivative streams in closed form."""
     theta = np.asarray(theta, dtype=float)
     theta_dot = np.asarray(theta_dot, dtype=float)
     theta_ddot = np.asarray(theta_ddot, dtype=float)
     if not theta.shape == theta_dot.shape == theta_ddot.shape == (net.n_joints,):
         raise ValueError("inconsistent joint-vector lengths")
-    if mode == "fd":
-        h = fd_step
-        f0 = forward(net, theta)
-        fp = forward(net, theta + h * theta_dot)
-        fm = forward(net, theta - h * theta_dot)
-        gp = forward(net, theta + h * theta_ddot)
-        gm = forward(net, theta - h * theta_ddot)
-        td = (fp - fm) / (2.0 * h)
-        tdd = (fp - 2.0 * f0 + fm) / h**2 + (gp - gm) / (2.0 * h)
-        # keep the homogeneous rows exact
-        td[3] = 0.0
-        tdd[3] = 0.0
-        return f0, td, tdd
-    if mode != "analytic":
-        raise ValueError(f"unknown derivative mode {mode!r}")
-
     x, u, v, _ = _mlp_streams(net, theta, theta_dot, theta_ddot)
     t, td, tdd, r, rd, rdd = _head_outputs(net, x, u, v)
     rot, rot_d, rot_dd = _rotation_triple(r, rd, rdd)
@@ -414,13 +392,45 @@ def loss(net: PoseNet, theta, theta_dot, theta_ddot, alpha_b, beta_b, cfg: Train
     return float(value)
 
 
+def _turn(vec, axis: int, c, s):
+    """Rot_axis(angle)^T vec for (3, B) columns, given the angle's cos and
+    sin; with -sin it is Rot_axis(angle) vec, the adjoint."""
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    out = vec.copy()
+    out[i] = c * vec[i] + s * vec[j]
+    out[j] = c * vec[j] - s * vec[i]
+    return out
+
+
+def _target_terms(beta, ts: float) -> np.ndarray:
+    """(13, B) rows of R2 = rpy(beta ts) that the loss reads: tr R2,
+    vee*(R2) and the row-major symmetric part of R2."""
+    r2 = _rpy_batch(np.asarray(beta, dtype=float) * ts)
+    sym = 0.5 * (r2 + r2.transpose(0, 2, 1))
+    trace = np.trace(r2, axis1=1, axis2=2)
+    return np.concatenate([trace[None], _vee_star_batch(r2).T, sym.reshape(-1, 9).T])
+
+
 def _batch_loss_and_grads(
     net: PoseNet, theta, theta_dot, theta_ddot, alpha, beta, cfg: TrainConfig,
-    want_grads: bool = True,
+    want_grads: bool = True, target=None,
 ):
-    """Mean loss over a batch and the exact parameter gradients."""
+    """Mean loss over a batch and the exact parameter gradients.
+
+    ``target`` is the batch's ``_target_terms(beta, cfg.ts)`` when the
+    caller has it precomputed; beta is then not read.  The rotation head
+    works on (3, B) columns in closed form, with R = Rz(yaw) Ry(pitch)
+    Rx(roll): R^T q is three planar turns, the body rate is
+    omega = (dr - sp dy, cr dp + sr cp dy, cr cp dy - sr dp), and with
+    R1 = I + f1 K + f2 K^2, K = hat(omega), sigma = |omega|,
+
+        tr(R1^T R2) = tr R2 + f1 omega . vee*(R2)
+                      + f2 (omega^T sym(R2) omega - sigma^2 tr R2).
+    """
     bsz = theta.shape[0]
-    ts = cfg.ts
+    if target is None:
+        target = _target_terms(beta, cfg.ts)
+    tr2, vee2, sym2 = target[0], target[1:4], target[4:].reshape(3, 3, -1)
     g_eff = (
         np.asarray(cfg.gravity_vector, dtype=float)
         if cfg.gravity
@@ -428,121 +438,94 @@ def _batch_loss_and_grads(
     )
 
     x3, u3, v3, caches = _mlp_streams(net, theta, theta_dot, theta_ddot)
-    wt, bt = net.head_t
+    wt, _ = net.head_t
     wr, br = net.head_r
-    b_dd = v3 @ wt.T  # translation second derivative is all the loss sees
-    r = x3 @ wr.T + br
-    rd = u3 @ wr.T
+    q_vec = wt @ v3.T  # translation second derivative is all the loss sees
+    q_vec -= g_eff[:, None]
+    ang = wr @ x3.T
+    ang += br[:, None]
+    rate = wr @ u3.T
+    cos, sin = np.cos(ang), np.sin(ang)
 
-    # rotation value and first derivative (the curvature of R is not used)
-    f_mats = [_axis_rot_batch(axis, r[:, axis]) for axis in range(3)]
-    f1, f1p, f1pp = f_mats[0]
-    f2, f2p, f2pp = f_mats[1]
-    f3, f3p, f3pp = f_mats[2]
-    f1_d = f1p * rd[:, 0][:, None, None]
-    f2_d = f2p * rd[:, 1][:, None, None]
-    f3_d = f3p * rd[:, 2][:, None, None]
-    g_val = f2 @ f1
-    g_dot = f2_d @ f1 + f2 @ f1_d
-    rot = f3 @ g_val
-    rot_d = f3_d @ g_val + f3 @ g_dot
+    # R^T q: undo yaw, then pitch, then roll
+    turned = [q_vec]
+    for axis in (2, 1, 0):
+        turned.append(_turn(turned[-1], axis, cos[axis], sin[axis]))
+    res = alpha.T - turned[-1]
+    l1 = np.sqrt(np.einsum("ib,ib->b", res, res) + _NORM_EPS)
 
-    q_vec = b_dd - g_eff
-    pred = np.einsum("bij,bi->bj", rot, q_vec)  # R^T q
-    res = alpha - pred
-    l1 = np.sqrt(np.einsum("bi,bi->b", res, res) + _NORM_EPS)
-
-    w_mat = np.einsum("bji,bjk->bik", rot, rot_d)  # R^T Rdot
-    omega = 0.5 * _vee_star_batch(w_mat)
-    sigma = np.linalg.norm(omega, axis=1)
-    fc1, fc2, gc1, gc2 = _rodrigues_coeffs(sigma, ts)
-    k_mat = rm.hat(omega)
-    k2_mat = k_mat @ k_mat
-    r1 = (
-        np.eye(3)[None, :, :]
-        + fc1[:, None, None] * k_mat
-        + fc2[:, None, None] * k2_mat
+    (cr, cp, _), (sr, sp, _) = cos, sin
+    cp_dy = cp * rate[2]
+    omega = np.stack(
+        [rate[0] - sp * rate[2], cr * rate[1] + sr * cp_dy, cr * cp_dy - sr * rate[1]]
     )
-    r2 = _rpy_batch(beta * ts)
-    l2 = -np.einsum("bij,bij->b", r1, r2)
+    sigma2 = np.einsum("ib,ib->b", omega, omega)
+    fc1, fc2, gc1, gc2 = _rodrigues_coeffs(np.sqrt(sigma2), cfg.ts)
+    sym_omega = np.einsum("ijb,jb->ib", sym2, omega)
+    omega_vee = np.einsum("ib,ib->b", omega, vee2)
+    quad = np.einsum("ib,ib->b", omega, sym_omega) - sigma2 * tr2
+    trace = tr2 + fc1 * omega_vee + fc2 * quad
 
-    mean_loss = float(np.mean(l1 + l2))
+    mean_loss = float(np.mean(l1 - trace))
     if not want_grads:
         return mean_loss, None
 
     # ---- adjoints -------------------------------------------------------
     c = 1.0 / bsz
-    res_bar = (c / l1)[:, None] * res
-    q_bar = -np.einsum("bij,bj->bi", rot, res_bar)
-    rot_bar = -np.einsum("bi,bj->bij", q_vec, res_bar)
-    b_dd_bar = q_bar
+    bar = (-c / l1) * res  # adjoint of R^T q
+    ang_bar = np.empty_like(ang)
+    for axis, out in zip((0, 1, 2), turned[:0:-1]):
+        i, j = (axis + 1) % 3, (axis + 2) % 3
+        ang_bar[axis] = bar[i] * out[j] - bar[j] * out[i]
+        bar = _turn(bar, axis, cos[axis], -sin[axis])
+    q_bar = bar
 
-    r1_bar = -c * r2
-    fc1_bar = np.einsum("bij,bij->b", r1_bar, k_mat)
-    fc2_bar = np.einsum("bij,bij->b", r1_bar, k2_mat)
-    kt = k_mat.transpose(0, 2, 1)
-    k_bar = fc1[:, None, None] * r1_bar + fc2[:, None, None] * (
-        r1_bar @ kt + kt @ r1_bar
-    )
-    omega_bar = _vee_star_batch(k_bar)
-    omega_bar += ((fc1_bar * gc1 + fc2_bar * gc2)[:, None]) * omega
-
-    w_bar = 0.5 * rm.hat(omega_bar)
-    rot_bar += np.einsum("bik,bjk->bij", rot_d, w_bar)  # Rdot @ Wbar^T
-    rot_d_bar = rot @ w_bar
-
-    # product-rule adjoints through rot = F3 (F2 F1), rot_d likewise
-    gt = g_val.transpose(0, 2, 1)
-    f3t = f3.transpose(0, 2, 1)
-    f3_bar = rot_bar @ gt
-    g_bar = f3t @ rot_bar
-    f3_d_bar = rot_d_bar @ gt
-    g_bar += f3_d.transpose(0, 2, 1) @ rot_d_bar
-    f3_bar += rot_d_bar @ g_dot.transpose(0, 2, 1)
-    g_dot_bar = f3t @ rot_d_bar
-
-    f1t = f1.transpose(0, 2, 1)
-    f2t = f2.transpose(0, 2, 1)
-    f2_bar = g_bar @ f1t + g_dot_bar @ f1_d.transpose(0, 2, 1)
-    f1_bar = f2t @ g_bar + f2_d.transpose(0, 2, 1) @ g_dot_bar
-    f2_d_bar = g_dot_bar @ f1t
-    f1_d_bar = f2t @ g_dot_bar
-
-    r_bar = np.zeros_like(r)
-    rd_bar = np.zeros_like(rd)
-    for axis, (fb, fdb, fp, fpp, _fd) in enumerate(
-        (
-            (f1_bar, f1_d_bar, f1p, f1pp, f1_d),
-            (f2_bar, f2_d_bar, f2p, f2pp, f2_d),
-            (f3_bar, f3_d_bar, f3p, f3pp, f3_d),
-        )
-    ):
-        r_bar[:, axis] = np.einsum("bij,bij->b", fb, fp) + rd[:, axis] * np.einsum(
-            "bij,bij->b", fdb, fpp
-        )
-        rd_bar[:, axis] = np.einsum("bij,bij->b", fdb, fp)
+    # d tr(R1^T R2) / d omega, with g_i = f_i'(sigma) / sigma
+    coef = gc1 * omega_vee + gc2 * quad - 2.0 * fc2 * tr2
+    omega_bar = fc1 * vee2 + (2.0 * fc2) * sym_omega + coef * omega
+    omega_bar *= -c
+    ob0, ob1, ob2 = omega_bar
+    turn_bar = sr * ob1 + cr * ob2
+    ang_bar[0] += ob1 * omega[2] - ob2 * omega[1]
+    ang_bar[1] -= rate[2] * (cp * ob0 + sp * turn_bar)
+    rate_bar = np.stack([ob0, cr * ob1 - sr * ob2, cp * turn_bar - sp * ob0])
 
     # head adjoints
-    wt_grad = b_dd_bar.T @ v3
+    wt_grad = q_bar @ v3
     bt_grad = np.zeros(3)  # the translation value never enters the loss
-    wr_grad = r_bar.T @ x3 + rd_bar.T @ u3
-    br_grad = r_bar.sum(axis=0)
-    x_bar = r_bar @ wr
-    u_bar = rd_bar @ wr
-    v_bar = b_dd_bar @ wt
+    wr_grad = ang_bar @ x3
+    wr_grad += rate_bar @ u3
+    br_grad = ang_bar.sum(axis=1)
+    x_bar = ang_bar.T @ wr
+    u_bar = rate_bar.T @ wr
+    v_bar = q_bar.T @ wt
 
+    # per layer, s1 is factored out of a_bar = x_bar s' + u_bar s'' p +
+    # v_bar (s''' p^2 + s'' q) and p_bar = u_bar s' + 2 v_bar s'' p, where
+    # s'' = s1 (1 - 2s) and s''' = s1 (1 - 6 s1)
     grads_hidden = []
     for layer in reversed(range(len(net.hidden))):
-        w = net.hidden[layer][0]
-        x_in, u_in, v_in, p, q, s, s1, s2 = caches[layer]
-        s3 = s1 * (1.0 - 6.0 * s + 6.0 * s * s)
-        a_bar = x_bar * s1 + u_bar * s2 * p + v_bar * (s3 * p * p + s2 * q)
-        p_bar = u_bar * s1 + v_bar * 2.0 * s2 * p
+        x_in, u_in, v_in, p, q, s1, d, p2 = caches[layer]
+        dp = d * p
         q_bar_l = v_bar * s1
-        w_grad = a_bar.T @ x_in + p_bar.T @ u_in + q_bar_l.T @ v_in
-        b_grad = a_bar.sum(axis=0)
-        grads_hidden.append((w_grad, b_grad))
+        p_bar = v_bar * dp
+        p_bar *= 2.0
+        p_bar += u_bar
+        p_bar *= s1
+        a_bar = s1 * -6.0
+        a_bar += 1.0
+        a_bar *= p2
+        a_bar += d * q
+        a_bar *= v_bar
+        a_bar += u_bar * dp
+        a_bar += x_bar
+        a_bar *= s1
+        w_grad = a_bar.T @ x_in
+        w_grad += p_bar.T @ u_in
+        w_grad += q_bar_l.T @ v_in
+        grads_hidden.append((w_grad, a_bar.sum(axis=0)))
         if layer:  # the joint inputs need no adjoint
+            w = net.hidden[layer][0]
             x_bar = a_bar @ w
             u_bar = p_bar @ w
             v_bar = q_bar_l @ w
@@ -608,12 +591,22 @@ def train(net: PoseNet, dataset: SensorDataset, cfg: TrainConfig) -> TrainResult
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    net = net.copy()
+    # every parameter is a view of one flat buffer, so an optimizer step is
+    # a few whole-buffer operations
+    params = net.params()
+    flat = np.concatenate([p.ravel() for p in params])
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    views = [c.reshape(p.shape) for c, p in zip(np.split(flat, cuts), params)]
+    net = PoseNet(
+        list(zip(views[:-4:2], views[1:-4:2])), tuple(views[-4:-2]), tuple(views[-2:])
+    )
+    target = _target_terms(dataset.beta, cfg.ts)
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
-    params = net.params()
-    velocity = [np.zeros_like(p) for p in params]
-    second = [np.zeros_like(p) for p in params]
+    grad = np.empty_like(flat)
+    velocity = np.zeros_like(flat)
+    second = np.zeros_like(flat)
+    b1, b2, eps = 0.9, 0.999, 1e-8
     step = 0
     epoch_losses = []
     for _ in range(cfg.epochs):
@@ -627,8 +620,9 @@ def train(net: PoseNet, dataset: SensorDataset, cfg: TrainConfig) -> TrainResult
                 dataset.theta_dot[idx],
                 dataset.theta_ddot[idx],
                 dataset.alpha[idx],
-                dataset.beta[idx],
+                None,
                 cfg,
+                target=target[:, idx],
             )
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -636,21 +630,19 @@ def train(net: PoseNet, dataset: SensorDataset, cfg: TrainConfig) -> TrainResult
                 )
             epoch_loss += value * len(idx)
             step += 1
+            np.concatenate([g.ravel() for g in grads], out=grad)
             if cfg.optimizer == "adam":
-                b1, b2, eps = 0.9, 0.999, 1e-8
-                for p, vel, sec, grad in zip(params, velocity, second, grads):
-                    vel *= b1
-                    vel += (1.0 - b1) * grad
-                    sec *= b2
-                    sec += (1.0 - b2) * grad * grad
-                    vhat = vel / (1.0 - b1**step)
-                    shat = sec / (1.0 - b2**step)
-                    p -= cfg.learning_rate * vhat / (np.sqrt(shat) + eps)
+                velocity *= b1
+                velocity += (1.0 - b1) * grad
+                second *= b2
+                second += (1.0 - b2) * grad * grad
+                vhat = velocity / (1.0 - b1**step)
+                shat = second / (1.0 - b2**step)
+                flat -= cfg.learning_rate * vhat / (np.sqrt(shat) + eps)
             else:
-                for p, vel, grad in zip(params, velocity, grads):
-                    vel *= cfg.momentum
-                    vel -= cfg.learning_rate * grad
-                    p += vel
+                velocity *= cfg.momentum
+                velocity -= cfg.learning_rate * grad
+                flat += velocity
         epoch_losses.append(epoch_loss / n)
 
     final, _ = _batch_loss_and_grads(
@@ -659,9 +651,10 @@ def train(net: PoseNet, dataset: SensorDataset, cfg: TrainConfig) -> TrainResult
         dataset.theta_dot,
         dataset.theta_ddot,
         dataset.alpha,
-        dataset.beta,
+        None,
         cfg,
         want_grads=False,
+        target=target,
     )
     if not np.isfinite(final):
         raise TrainingDivergedError("final loss is non-finite")

@@ -52,6 +52,19 @@ class TestForward:
         assert ((0 <= angles) & (angles < 2 * np.pi)).all()
 
 
+def _fd_time_derivatives(net, theta, theta_dot, theta_ddot, h):
+    """Central differences of the forward map along theta_dot, plus
+    theta_ddot for the curvature term; the homogeneous rows stay exact."""
+    f0 = pn.forward(net, theta)
+    fp, fm = pn.forward(net, theta + h * theta_dot), pn.forward(net, theta - h * theta_dot)
+    gp, gm = pn.forward(net, theta + h * theta_ddot), pn.forward(net, theta - h * theta_ddot)
+    td = (fp - fm) / (2.0 * h)
+    tdd = (fp - 2.0 * f0 + fm) / h**2 + (gp - gm) / (2.0 * h)
+    td[3] = 0.0
+    tdd[3] = 0.0
+    return f0, td, tdd
+
+
 class TestTimeDerivatives:
     def test_zero_rates_zero_derivatives(self, small_net):
         t, td, tdd = pn.time_derivatives(
@@ -65,9 +78,7 @@ class TestTimeDerivatives:
         for _ in range(10):
             th, thd, thdd = (rng.normal(size=3) for _ in range(3))
             ta, tda, tdda = pn.time_derivatives(small_net, th, thd, thdd)
-            tf, tdf, tddf = pn.time_derivatives(
-                small_net, th, thd, thdd, mode="fd", fd_step=1e-4
-            )
+            tf, tdf, tddf = _fd_time_derivatives(small_net, th, thd, thdd, 1e-4)
             assert np.allclose(ta, tf)
             scale_d = max(np.abs(tda).max(), 1.0)
             scale_dd = max(np.abs(tdda).max(), 1.0)
@@ -134,27 +145,96 @@ class TestLoss:
             b = 3
             th, thd, thdd = (rng.normal(size=(b, n)) for _ in range(3))
             alpha, beta = rng.normal(size=(b, 3)), rng.normal(size=(b, 3))
-            grads = pn.parameter_gradients(net, th, thd, thdd, alpha, beta, cfg)
-            params = net.params()
-            h = 1e-5
-            for p, g in zip(params, grads):
-                flat, gflat = p.ravel(), np.asarray(g).ravel()
-                scale = max(float(np.abs(gflat).max()), 1e-8)
-                for i in rng.choice(flat.size, size=min(25, flat.size), replace=False):
-                    old = flat[i]
-                    flat[i] = old + h
-                    lp, _ = pn._batch_loss_and_grads(
-                        net, th, thd, thdd, alpha, beta, cfg, want_grads=False
-                    )
-                    flat[i] = old - h
-                    lm, _ = pn._batch_loss_and_grads(
-                        net, th, thd, thdd, alpha, beta, cfg, want_grads=False
-                    )
-                    flat[i] = old
-                    fd = (lp - lm) / (2 * h)
-                    denom = max(abs(fd), abs(gflat[i]), scale)
-                    worst = max(worst, abs(fd - gflat[i]) / denom)
+            batch = (th, thd, thdd, alpha, beta)
+            worst = max(worst, _worst_fd_gradient_error(net, batch, cfg, rng))
         assert worst < 1e-4
+
+
+def _worst_fd_gradient_error(net, batch, cfg, rng, per_tensor=25):
+    """Largest gap between the kernel's gradient and central differences of
+    its loss, over up to per_tensor random entries of each parameter."""
+    grads = pn.parameter_gradients(net, *batch, cfg)
+    h = 1e-5
+    worst = 0.0
+    for p, g in zip(net.params(), grads):
+        flat, gflat = p.ravel(), np.asarray(g).ravel()
+        scale = max(float(np.abs(gflat).max()), 1e-8)
+        for i in rng.choice(flat.size, size=min(per_tensor, flat.size), replace=False):
+            old = flat[i]
+            flat[i] = old + h
+            lp, _ = pn._batch_loss_and_grads(net, *batch, cfg, want_grads=False)
+            flat[i] = old - h
+            lm, _ = pn._batch_loss_and_grads(net, *batch, cfg, want_grads=False)
+            flat[i] = old
+            fd = (lp - lm) / (2 * h)
+            denom = max(abs(fd), abs(gflat[i]), scale)
+            worst = max(worst, abs(fd - gflat[i]) / denom)
+    return worst
+
+
+# regimes of the closed-form rotation head: gimbal lock at pitch = +-pi/2,
+# raw head angles beyond 2 pi, and a rotation per sample period small
+# enough for the series form of the rodrigues coefficients
+HEAD_CASES = ("generic", "pitch+pi/2", "pitch-pi/2", "beyond-2pi", "small-rotation")
+
+
+def _head_case(case):
+    """A net, a batch of 8 samples and a config putting the head in case."""
+    rng = np.random.default_rng(21)
+    n = 3
+    net = pn.init_pose_net(n, widths=(8, 8, 8), seed=7)
+    for p in net.params():
+        p += rng.normal(scale=0.3, size=p.shape)
+    th, thd, thdd = (rng.normal(size=(8, n)) for _ in range(3))
+    thd *= 20.0  # body rates near 1, so sigma ts sits well above the switch
+    alpha, beta = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+    wr, br = net.head_r
+    if case.startswith("pitch"):
+        wr[1] *= 1e-7
+        br[:] = (0.4, np.pi / 2 if case == "pitch+pi/2" else -np.pi / 2, -0.8)
+    elif case == "beyond-2pi":
+        br[:] = (7.5, -9.0, 13.0)
+    elif case == "small-rotation":
+        thd *= 1e-4
+        beta *= 100.0  # beta ts near 1 keeps R2 away from the identity
+    return net, (th, thd, thdd, alpha, beta), pn.TrainConfig(ts=0.01, gravity=True)
+
+
+class TestClosedFormHead:
+    """The kernel's closed-form rotation head against the matrix-form
+    reference (``time_derivatives`` and ``loss_from_pose``)."""
+
+    @pytest.mark.parametrize("case", HEAD_CASES)
+    def test_case_reaches_its_regime(self, case):
+        net, (th, thd, thdd, _, _), cfg = _head_case(case)
+        x, u, _, _ = pn._mlp_streams(net, th, thd, thdd)
+        ang = pn._head_outputs(net, x, u, u)[3]
+        sigma = []
+        for k in range(len(th)):
+            t, td, _ = pn.time_derivatives(net, th[k], thd[k], thdd[k])
+            sigma.append(np.linalg.norm(rm.vee_antisym(t[:3, :3].T @ td[:3, :3])))
+        small = np.array(sigma) * cfg.ts < pn._SERIES_SWITCH
+        if case.startswith("pitch"):
+            assert np.abs(np.cos(ang[:, 1])).max() < 1e-6
+        assert (np.abs(ang).max() > 2 * np.pi) == (case == "beyond-2pi")
+        assert small.all() if case == "small-rotation" else not small.any()
+
+    @pytest.mark.parametrize("case", HEAD_CASES)
+    def test_loss_equals_matrix_reference(self, case):
+        net, batch, cfg = _head_case(case)
+        for th, thd, thdd, alpha, beta in zip(*batch):
+            want = pn.loss_from_pose(
+                *pn.time_derivatives(net, th, thd, thdd),
+                alpha, beta, cfg.ts, cfg.gravity_vector,
+            )
+            got = pn.loss(net, th, thd, thdd, alpha, beta, cfg)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("case", HEAD_CASES)
+    def test_gradients_match_finite_differences(self, case):
+        net, batch, cfg = _head_case(case)
+        rng = np.random.default_rng(22)
+        assert _worst_fd_gradient_error(net, batch, cfg, rng) < 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +326,22 @@ class TestTraining:
         with pytest.raises(ValueError):
             pn.train(pn.init_pose_net(1, seed=0), empty, cfg)
 
+    def test_kernel_calls_seen_by_benchmark_trace(self, tiny_training_setup, monkeypatch):
+        # the benchmark's tracer replaces the module global and counts a
+        # training batch for each call without want_grads=False
+        _, dataset, cfg = tiny_training_setup
+        short = pn.TrainConfig(**{**cfg.__dict__, "epochs": 3, "batch_size": 1000})
+        kernel, calls = pn._batch_loss_and_grads, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("want_grads", True))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(pn, "_batch_loss_and_grads", counted)
+        pn.train(pn.init_pose_net(1, seed=0), dataset, short)
+        batches = -(-len(dataset) // short.batch_size)
+        assert calls == [True] * (short.epochs * batches) + [False]
+
 
 def _axis_rot_batch_stacked(axis, ang):
     """The single-axis rotation triple assembled entry by entry with
@@ -327,6 +423,51 @@ class TestKernelBitIdentity:
             assert np.array_equal(pf, pr)
         assert fast.epoch_losses == ref.epoch_losses
         assert fast.final_loss == ref.final_loss
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_flat_optimizer_step_equals_per_tensor_loop(self, optimizer):
+        spec = robots.builtin_robot("robot2", sensors_per_link=1)
+        traj = chain.add_noise(
+            chain.gen_trajectory(spec, duration=3.0, rate=100, seed=3), 0.05, 0.01, 3
+        )
+        data = pn.SensorDataset.from_samples(traj, spec.sensor_ids[-1])
+        cfg = pn.TrainConfig(
+            learning_rate=0.01, epochs=2, seed=4, optimizer=optimizer, momentum=0.5
+        )
+        net = pn.init_pose_net(spec.n_joints, widths=(16, 16, 16), seed=5)
+        fast = pn.train(net, data, cfg)
+        # the per-tensor update loop, each batch's kernel fed its beta rows
+        params = [p.copy() for p in net.params()]
+        ref = pn.PoseNet(
+            list(zip(params[:-4:2], params[1:-4:2])), tuple(params[-4:-2]), tuple(params[-2:])
+        )
+        velocity = [np.zeros_like(p) for p in params]
+        second = [np.zeros_like(p) for p in params]
+        rng, step = np.random.default_rng(cfg.seed), 0
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(data))
+            for start in range(0, len(data), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grads = pn._batch_loss_and_grads(
+                    ref, data.theta[idx], data.theta_dot[idx], data.theta_ddot[idx],
+                    data.alpha[idx], data.beta[idx], cfg,
+                )
+                step += 1
+                for p, vel, sec, grad in zip(params, velocity, second, grads):
+                    if optimizer == "adam":
+                        vel *= 0.9
+                        vel += (1.0 - 0.9) * grad
+                        sec *= 0.999
+                        sec += (1.0 - 0.999) * grad * grad
+                        vhat = vel / (1.0 - 0.9**step)
+                        shat = sec / (1.0 - 0.999**step)
+                        p -= cfg.learning_rate * vhat / (np.sqrt(shat) + 1e-8)
+                    else:
+                        vel *= cfg.momentum
+                        vel -= cfg.learning_rate * grad
+                        p += vel
+        for pf, pr in zip(fast.net.params(), params):
+            assert np.array_equal(pf, pr)
 
 
 def _ref_pose_jacobian(net, theta):
