@@ -122,9 +122,7 @@ def cmd_extract(args) -> int:
         }
     # the same sampling rule as ``run`` for this seed and mode
     thetas = _extraction_thetas(spec, traj, manifest)
-    dprimes, skipped = sensor_features(
-        jacobian_fns(spec, nets), thetas, manifest.aggregate
-    )
+    dprimes, skipped = sensor_features(jacobian_fns(spec, nets), thetas)
     for sid in skipped:
         print(f"skipped degenerate sensor {sid}", file=sys.stderr)
     # one row per sensor at the fixed threshold, without clustering
@@ -250,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", help="required with --nets-dir")
     p.add_argument("--nets-dir", help="trained nets; omit to use the analytic oracle")
     p.add_argument("--theta-samples", type=int, default=64)
-    p.add_argument("--aggregate", default="rms",
-                   choices=("rms", "variance", "mean", "second_moment"))
     p.add_argument("--delta", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

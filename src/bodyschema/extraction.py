@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import DegenerateSensorError
 from .topology import DependencyMatrix
@@ -36,34 +35,23 @@ def tij(jac_fn, theta) -> np.ndarray:
     return np.linalg.norm(blocks, axis=-2)
 
 
-def tij_aggregate(jac_fn, thetas, method: str = "second_moment") -> np.ndarray:
-    """Aggregate the squashed Jacobian over sampled configurations.
+def tij_aggregate(jac_fn, thetas) -> np.ndarray:
+    """Root mean square of the squashed Jacobian over sampled configurations.
 
     ``jac_fn`` is called once, with all configurations as a (T, N) stack
     (see ``tij``).
 
-    ``variance`` misses a column whose norm is nonzero but constant in
+    The RMS is zero precisely when a column is identically zero.  The
+    variance would miss a column whose norm is nonzero but constant in
     theta -- which is exactly what an ideal pose map produces for a sensor's
     own terminal joint, since that column's norm reduces to
-    |hat(axis) @ mount| regardless of configuration.  ``second_moment``
-    (variance plus squared mean) is zero precisely when the column is
-    identically zero, and so are its square root ``rms``, which the
-    pipeline uses (the manifest's ``aggregate`` default), and ``mean`` on
-    the non-negative entries.
+    |hat(axis) @ mount| regardless of configuration.
     """
     thetas = np.asarray(list(thetas), dtype=float)
     if len(thetas) < 2:
         raise ValueError("need at least two configurations")
     stack = tij(jac_fn, thetas)
-    if method == "variance":
-        return stack.var(axis=0)
-    if method == "mean":
-        return stack.mean(axis=0)
-    if method == "second_moment":
-        return (stack**2).mean(axis=0)
-    if method == "rms":
-        return np.sqrt((stack**2).mean(axis=0))
-    raise ValueError(f"unknown aggregation method {method!r}")
+    return np.sqrt((stack**2).mean(axis=0))
 
 
 def feature_raw(jbar: np.ndarray) -> np.ndarray:
@@ -100,15 +88,6 @@ class ClusterResult:
         return len(self.counts)
 
 
-def _finalize_clusters(x: np.ndarray, labels: np.ndarray) -> ClusterResult:
-    uniq = np.unique(labels)
-    remap = {old: new for new, old in enumerate(uniq)}
-    labels = np.array([remap[v] for v in labels])
-    means = np.stack([x[labels == k].mean(axis=0) for k in range(len(uniq))])
-    counts = np.array([int((labels == k).sum()) for k in range(len(uniq))])
-    return ClusterResult(labels, means, counts)
-
-
 def _dp_means(x: np.ndarray, penalty: float, max_iter: int = 100) -> np.ndarray:
     """Deterministic hard-assignment clustering: a row farther than the
     penalty (squared distance) from every center spawns a new one."""
@@ -141,86 +120,17 @@ def _compact_labels(labels: np.ndarray) -> np.ndarray:
     return np.array([remap[int(v)] for v in labels])
 
 
-def _vb_dpgmm(
-    x: np.ndarray, alpha: float, seed: int, max_iter: int = 200, tol: float = 1e-6
-) -> np.ndarray:
-    """Truncated stick-breaking Gaussian mixture with diagonal covariance,
-    fit by standard variational updates; hard assignments by argmax
-    responsibility."""
-    n, d = x.shape
-    t = n  # truncation at the row count
-    rng = np.random.default_rng(seed)
-    resp = rng.dirichlet(np.ones(t), size=n)
-
-    m0 = x.mean(axis=0)
-    beta0 = 1e-3
-    a0 = 1.0
-    b0 = 0.05
-
-    prev = resp
-    for _ in range(max_iter):
-        nk = resp.sum(axis=0) + 1e-12
-        xbar = (resp.T @ x) / nk[:, None]
-        diff2 = np.zeros((t, d))
-        for k in range(t):
-            diff2[k] = (resp[:, k][:, None] * (x - xbar[k]) ** 2).sum(axis=0) / nk[k]
-
-        # stick-breaking weights
-        g1 = 1.0 + nk
-        g2 = alpha + np.concatenate([np.cumsum(nk[::-1])[-2::-1], [0.0]])
-        e_ln_v = digamma(g1) - digamma(g1 + g2)
-        e_ln_1mv = digamma(g2) - digamma(g1 + g2)
-        e_ln_pi = e_ln_v + np.concatenate([[0.0], np.cumsum(e_ln_1mv)[:-1]])
-
-        # Gaussian-gamma posteriors (diagonal)
-        beta = beta0 + nk
-        m = (beta0 * m0 + nk[:, None] * xbar) / beta[:, None]
-        a = a0 + nk / 2.0
-        b = b0 + 0.5 * (
-            nk[:, None] * diff2
-            + (beta0 * nk / beta)[:, None] * (xbar - m0) ** 2
-        )
-
-        e_ln_prec = digamma(a)[:, None] - np.log(b)
-        e_prec = a[:, None] / b
-        quad = (
-            ((x[:, None, :] - m[None, :, :]) ** 2 * e_prec[None, :, :]).sum(axis=2)
-            + (d / beta)[None, :]
-        )
-        ln_rho = e_ln_pi[None, :] + 0.5 * e_ln_prec.sum(axis=1)[None, :] - 0.5 * quad
-        ln_rho -= ln_rho.max(axis=1, keepdims=True)
-        resp = np.exp(ln_rho)
-        resp /= resp.sum(axis=1, keepdims=True)
-        if np.abs(resp - prev).max() < tol:
-            break
-        prev = resp
-    return _compact_labels(resp.argmax(axis=1))
-
-
-def cluster_rows(
-    features,
-    alpha: float = 1.0,
-    seed: int = 0,
-    method: str = "vb",
-) -> ClusterResult:
-    """Cluster dependency rows; returns per-cluster means and sizes.
-
-    ``vb`` is the stick-breaking mixture; ``dpmeans`` is a deterministic
-    hard-assignment fallback whose spawn penalty shrinks as the
-    concentration alpha grows.
-    """
+def cluster_rows(features, alpha: float = 1.0) -> ClusterResult:
+    """Cluster dependency rows by DP-means; returns per-cluster means and
+    sizes.  The spawn penalty shrinks as the concentration alpha grows."""
     x = np.asarray([np.asarray(f, dtype=float) for f in features])
     if x.ndim != 2 or len(x) < 1:
         raise ValueError("need at least one feature row")
-    if len(x) == 1:
-        return ClusterResult(np.zeros(1, dtype=int), x.copy(), np.array([1]))
-    if method == "dpmeans":
-        labels = _dp_means(x, penalty=1.0 / (1.0 + alpha))
-    elif method == "vb":
-        labels = _vb_dpgmm(x, alpha, seed)
-    else:
-        raise ValueError(f"unknown clustering method {method!r}")
-    return _finalize_clusters(x, labels)
+    labels = _dp_means(x, penalty=1.0 / (1.0 + alpha))
+    k = int(labels.max()) + 1  # the labels are compact: 0 .. k-1
+    means = np.stack([x[labels == c].mean(axis=0) for c in range(k)])
+    counts = np.array([int((labels == c).sum()) for c in range(k)])
+    return ClusterResult(labels, means, counts)
 
 
 def reduce_rows(

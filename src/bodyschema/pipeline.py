@@ -27,9 +27,6 @@ from .topology import DependencyMatrix, OutTree, check_conditions
 _CHOICES = {
     "mode": ("oracle-fk", "learned"),
     "trajectory_mode": ("sinusoidal", "smooth_random"),
-    "aggregate": ("rms", "variance", "mean", "second_moment"),
-    "optimizer": ("adam", "sgd"),
-    "cluster_method": ("dpmeans", "vb"),
 }
 _INTEGERS = {
     "sensors_per_link": 1,
@@ -41,7 +38,7 @@ _INTEGERS = {
     "delta_grid_size": 1,
 }
 _POSITIVE = ("duration", "rate", "learning_rate", "alpha_dp")
-_NON_NEGATIVE = ("sigma_alpha", "sigma_beta", "momentum", "lam")
+_NON_NEGATIVE = ("sigma_alpha", "sigma_beta", "lam")
 
 
 def _is_real(value) -> bool:
@@ -68,17 +65,13 @@ class ExperimentManifest:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 0.01
-    optimizer: str = "adam"
-    momentum: float = 0.0
     # extraction
     theta_samples: int = 64
-    aggregate: str = "rms"
     delta: float | None = None  # fixed threshold; None optimizes it
     delta_grid_size: int = 50
     delta_grid_max: float = 0.5  # beyond 0.5 no depth>=4 feature can survive
     lam: float = 1.0
     alpha_dp: float = 1.0
-    cluster_method: str = "dpmeans"
     # plumbing
     out_dir: str | None = None
 
@@ -209,8 +202,6 @@ def train_sensor(
         ts=1.0 / manifest.rate,
         gravity=manifest.gravity,
         gravity_vector=tuple(spec.gravity),
-        optimizer=manifest.optimizer,
-        momentum=manifest.momentum,
     )
     dataset = pose_net.SensorDataset.from_samples(traj, sensor_id)
     net = pose_net.init_pose_net(
@@ -250,7 +241,7 @@ def jacobian_fns(spec: chain.RobotSpec, nets=None) -> dict:
     }
 
 
-def sensor_features(jac_fns: dict, thetas, aggregate: str):
+def sensor_features(jac_fns: dict, thetas):
     """Each sensor's normalized feature ``d'`` over the configurations, and
     the sensors skipped because their aggregated Jacobian is all zero.
 
@@ -260,7 +251,7 @@ def sensor_features(jac_fns: dict, thetas, aggregate: str):
     for sid, jac_fn in jac_fns.items():
         try:
             dprimes[sid] = extraction.feature_raw(
-                extraction.tij_aggregate(jac_fn, thetas, method=aggregate)
+                extraction.tij_aggregate(jac_fn, thetas)
             )
         except DegenerateSensorError:
             skipped.append(sid)
@@ -284,12 +275,7 @@ def _assemble_matrix(dprimes: dict[str, np.ndarray], delta, spec, manifest):
     sensor_ids = sorted(dprimes)
     rows = [extraction.threshold(dprimes[s], delta) for s in sensor_ids]
     if manifest.mode == "learned":
-        clusters = extraction.cluster_rows(
-            rows,
-            alpha=manifest.alpha_dp,
-            seed=manifest.seed + 3,
-            method=manifest.cluster_method,
-        )
+        clusters = extraction.cluster_rows(rows, alpha=manifest.alpha_dp)
         features, labels, members = [], [], []
         for row, ks in extraction.reduce_rows(clusters, spec.n_joints):
             groups = [
@@ -464,9 +450,7 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
         nets = None
     else:
         raise ValueError(f"unknown mode {manifest.mode!r}")
-    dprimes, skipped = sensor_features(
-        jacobian_fns(spec, nets), thetas, manifest.aggregate
-    )
+    dprimes, skipped = sensor_features(jacobian_fns(spec, nets), thetas)
     timings["train_extract"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -123,14 +123,10 @@ class TrainConfig:
     ts: float = 0.01
     gravity: bool = True
     gravity_vector: tuple = (0.0, 0.0, -9.8)
-    momentum: float = 0.0
-    optimizer: str = "sgd"  # "adam" available for badly conditioned losses
 
     def __post_init__(self):
         if self.ts <= 0:
             raise ValueError("ts must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +580,15 @@ class TrainResult:
 
 
 def train(net: PoseNet, dataset: SensorDataset, cfg: TrainConfig) -> TrainResult:
-    """Mini-batch gradient descent on the mean loss; deterministic per seed.
+    """Mini-batch Adam on the mean loss; deterministic per seed.
 
     Raises TrainingDivergedError on a non-finite loss so a blown-up run
     never masquerades as a trained model.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    # every parameter is a view of one flat buffer, so an optimizer step is
-    # a few whole-buffer operations
+    # every parameter is a view of one flat buffer, so an Adam step is a few
+    # whole-buffer operations
     params = net.params()
     flat = np.concatenate([p.ravel() for p in params])
     cuts = np.cumsum([p.size for p in params])[:-1]
@@ -604,7 +600,7 @@ def train(net: PoseNet, dataset: SensorDataset, cfg: TrainConfig) -> TrainResult
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
     grad = np.empty_like(flat)
-    velocity = np.zeros_like(flat)
+    first = np.zeros_like(flat)
     second = np.zeros_like(flat)
     b1, b2, eps = 0.9, 0.999, 1e-8
     step = 0
@@ -631,18 +627,13 @@ def train(net: PoseNet, dataset: SensorDataset, cfg: TrainConfig) -> TrainResult
             epoch_loss += value * len(idx)
             step += 1
             np.concatenate([g.ravel() for g in grads], out=grad)
-            if cfg.optimizer == "adam":
-                velocity *= b1
-                velocity += (1.0 - b1) * grad
-                second *= b2
-                second += (1.0 - b2) * grad * grad
-                vhat = velocity / (1.0 - b1**step)
-                shat = second / (1.0 - b2**step)
-                flat -= cfg.learning_rate * vhat / (np.sqrt(shat) + eps)
-            else:
-                velocity *= cfg.momentum
-                velocity -= cfg.learning_rate * grad
-                flat += velocity
+            first *= b1
+            first += (1.0 - b1) * grad
+            second *= b2
+            second += (1.0 - b2) * grad * grad
+            fhat = first / (1.0 - b1**step)
+            shat = second / (1.0 - b2**step)
+            flat -= cfg.learning_rate * fhat / (np.sqrt(shat) + eps)
         epoch_losses.append(epoch_loss / n)
 
     final, _ = _batch_loss_and_grads(

@@ -132,19 +132,6 @@ def translate(v: np.ndarray) -> np.ndarray:
     return make_transform(np.eye(3), v)
 
 
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
-    out[3] = (0.0, 0.0, 0.0, 1.0)
-    return out
-
-
-def invert(t: np.ndarray) -> np.ndarray:
-    """Inverse in block form: [[R^T, -R^T b], [0, 1]]."""
-    t = np.asarray(t, dtype=float)
-    rt = t[:3, :3].T
-    return make_transform(rt, -rt @ t[:3, 3])
-
-
 def is_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
@@ -152,9 +139,3 @@ def is_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     if not np.allclose(r @ r.T, np.eye(3), atol=tol):
         return False
     return abs(np.linalg.det(r) - 1.0) <= tol
-
-
-def require_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
-    if not is_rotation(r, tol):
-        raise ValueError("not a rotation matrix within tolerance %g" % tol)
-    return np.asarray(r, dtype=float)

@@ -63,60 +63,56 @@ def oracle():
 class TestAggregation:
 
     def test_variance_of_constant_tij_is_zero(self):
-        jac = np.ones((12, 3))
+        # a constant squash is its own RMS: blocks with one unit entry per
+        # column squash to all ones at every configuration
+        jac = np.zeros((12, 3))
+        jac[::3] = 1.0
         assert np.array_equal(
             ex.tij_aggregate(
                 lambda t: np.broadcast_to(jac, (len(t), 12, 3)),
                 [np.zeros(3), np.ones(3)],
-                method="variance",
             ),
-            np.zeros((4, 3)),
+            np.ones((4, 3)),
         )
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            ex.tij_aggregate(lambda t: np.zeros((12, 2)), [np.zeros(2)], method="variance")
+            ex.tij_aggregate(lambda t: np.zeros((12, 2)), [np.zeros(2)])
 
     def test_off_path_columns_zero_variance(self, oracle):
         spec, thetas = oracle
         jac_fn = lambda t: chain.analytic_jacobian(spec, t, "l5:0")
-        var = ex.tij_aggregate(jac_fn, thetas, method="variance")
+        rms = ex.tij_aggregate(jac_fn, thetas)
         path = spec.topology.root_path_edges("l5")
         for k, edge in enumerate(spec.joint_order):
             if edge not in path:
-                assert np.array_equal(var[:, k], np.zeros(4))
+                assert np.array_equal(rms[:, k], np.zeros(4))
 
     def test_variance_permutation_invariant(self, oracle):
         spec, thetas = oracle
         jac_fn = lambda t: chain.analytic_jacobian(spec, t, "l3:1")
-        a = ex.tij_aggregate(jac_fn, thetas, method="variance")
-        b = ex.tij_aggregate(jac_fn, list(reversed(thetas)), method="variance")
+        a = ex.tij_aggregate(jac_fn, thetas)
+        b = ex.tij_aggregate(jac_fn, list(reversed(thetas)))
         assert np.allclose(a, b)
 
     def test_terminal_joint_variance_collapses_but_moment_does_not(self, oracle):
         # an exact pose map's own-terminal-joint column has constant norm
         # |hat(axis) @ mount column|, so its variance vanishes while the
-        # second moment keeps the dependence visible
+        # RMS keeps the dependence visible
         spec, thetas = oracle
         jac_fn = lambda t: chain.analytic_jacobian(spec, t, "l1:0")
         own = spec.joint_order.index("j1")
-        var = ex.tij_aggregate(jac_fn, thetas, method="variance")
-        moment = ex.tij_aggregate(jac_fn, thetas, method="second_moment")
+        var = ex.tij(jac_fn, thetas).var(axis=0)
+        rms = ex.tij_aggregate(jac_fn, thetas)
         assert var[:, own].max() < 1e-12
-        assert moment[:, own].max() > 1e-3
+        assert rms[:, own].max() > 1e-3
 
-    @pytest.mark.parametrize("method", ["variance", "mean", "second_moment", "rms"])
-    def test_batched_aggregate_equals_per_sample(self, method):
+    def test_batched_aggregate_equals_per_sample(self):
         # the per-configuration squash and stack the single batched call replaced
         def per_sample(jac_fn, thetas):
             squashes = [np.linalg.norm(jac_fn(th).reshape(4, 3, -1), axis=1) for th in thetas]
             stack = np.stack(squashes)
-            return {
-                "variance": stack.var(axis=0),
-                "mean": stack.mean(axis=0),
-                "second_moment": (stack**2).mean(axis=0),
-                "rms": np.sqrt((stack**2).mean(axis=0)),
-            }[method]
+            return np.sqrt((stack**2).mean(axis=0))
 
         for name in robots.BUILTIN_NAMES:
             spec = robots.builtin_robot(name)
@@ -124,19 +120,11 @@ class TestAggregation:
             thetas = [rng.uniform(-np.pi, np.pi, spec.n_joints) for _ in range(64)]
             for sid in spec.sensor_ids:
                 got = ex.tij_aggregate(
-                    lambda t, s=sid: chain.analytic_jacobian(spec, t, s), thetas, method
+                    lambda t, s=sid: chain.analytic_jacobian(spec, t, s), thetas
                 )
                 ref = per_sample(lambda t, s=sid: ref_jacobian(spec, t, s), thetas)
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
-
-    def test_rms_is_sqrt_of_second_moment(self, oracle):
-        spec, thetas = oracle
-        jac_fn = lambda t: chain.analytic_jacobian(spec, t, "l4:1")
-        assert np.allclose(
-            ex.tij_aggregate(jac_fn, thetas, method="rms") ** 2,
-            ex.tij_aggregate(jac_fn, thetas, method="second_moment"),
-        )
 
 
 class TestFeature:
@@ -180,40 +168,37 @@ class TestThreshold:
 
 
 class TestClustering:
-    @pytest.mark.parametrize("method", ["vb", "dpmeans"])
-    def test_identical_rows_single_cluster(self, method):
+    def test_identical_rows_single_cluster(self):
         rows = [np.array([1.0, 0.0, 1.0])] * 6
-        result = ex.cluster_rows(rows, method=method, seed=0)
+        result = ex.cluster_rows(rows)
         assert result.n_clusters == 1
         assert np.allclose(result.means[0], [1, 0, 1])
         assert result.counts.tolist() == [6]
 
-    @pytest.mark.parametrize("method", ["vb", "dpmeans"])
-    def test_two_separated_groups(self, method):
+    def test_two_separated_groups(self):
         rows = [np.array([1, 1, 0, 0])] * 3 + [np.array([0, 0, 1, 1])] * 3
-        result = ex.cluster_rows(rows, method=method, seed=0)
+        result = ex.cluster_rows(rows)
         assert result.n_clusters == 2
         assert sorted(result.counts.tolist()) == [3, 3]
 
-    @pytest.mark.parametrize("method", ["vb", "dpmeans"])
-    def test_cluster_count_bounded(self, method):
+    def test_single_row_is_its_own_cluster(self):
+        row = np.array([1, 0, 1], dtype=np.int8)
+        result = ex.cluster_rows([row])
+        assert result.assignments.tolist() == [0]
+        assert np.array_equal(result.means, [row])
+        assert result.counts.tolist() == [1]
+
+    def test_cluster_count_bounded(self):
         rng = np.random.default_rng(4)
         rows = [rng.integers(0, 2, 4).astype(float) for _ in range(12)]
-        result = ex.cluster_rows(rows, method=method, seed=1)
+        result = ex.cluster_rows(rows)
         assert 1 <= result.n_clusters <= 12
-
-    def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(5)
-        rows = [rng.uniform(0, 1, 5) for _ in range(9)]
-        a = ex.cluster_rows(rows, seed=7, method="vb")
-        b = ex.cluster_rows(rows, seed=7, method="vb")
-        assert np.array_equal(a.assignments, b.assignments)
 
 
 class TestReduceRows:
     def test_exact_duplicates_reduce_to_distinct(self):
         rows = [np.array([1, 0, 0]), np.array([1, 0, 0]), np.array([1, 1, 0])]
-        clusters = ex.cluster_rows(rows, method="dpmeans")
+        clusters = ex.cluster_rows(rows)
         reduced = ex.reduce_rows(clusters, 3)
         assert sorted(tuple(r) for r, _ in reduced) == [(1, 0, 0), (1, 1, 0)]
 
@@ -227,7 +212,7 @@ class TestReduceRows:
 
     def test_row_budget(self):
         rows = [np.eye(4)[k] for k in range(4)]
-        clusters = ex.cluster_rows(rows, method="dpmeans")
+        clusters = ex.cluster_rows(rows)
         assert len(ex.reduce_rows(clusters, 2)) <= 2
 
     def test_same_binarized_row_merges_cluster_indices(self):
@@ -257,7 +242,7 @@ class TestSeparationScore:
             np.array([0.0, 1.0]),
             np.array([0.2, 0.8]),
         ]
-        clusters = ex.cluster_rows(rows, method="dpmeans")
+        clusters = ex.cluster_rows(rows)
         assert clusters.n_clusters == 2
         with_ent = ex.separation_score(rows, clusters, 1.0)
         without = ex.separation_score(rows, clusters, 0.0)
@@ -296,7 +281,7 @@ class TestTrainedNetInvariance:
         traj = chain.gen_trajectory(spec, duration=30.0, rate=100)
         cfg = pn.TrainConfig(
             learning_rate=0.02, epochs=40, batch_size=128, seed=0,
-            ts=0.01, gravity=True, optimizer="adam",
+            ts=0.01, gravity=True,
         )
         thetas = [traj.theta[i] for i in range(0, 3000, 100)]
         truth = {"l1:0": [1, 0], "l2:0": [1, 1]}
@@ -309,7 +294,7 @@ class TestTrainedNetInvariance:
                 )
                 jac_fn = lambda t, net=result.net: pn.pose_jacobian(net, t)
                 feats.append(
-                    ex.feature_raw(ex.tij_aggregate(jac_fn, thetas, method="rms"))
+                    ex.feature_raw(ex.tij_aggregate(jac_fn, thetas))
                 )
             assert np.abs(feats[0] - feats[1]).max() < 0.15
             for f in feats:
@@ -340,7 +325,7 @@ class TestBuildMatrix:
         feats, labels = [], []
         for sid in spec.sensor_ids:
             jac_fn = lambda t, s=sid: chain.analytic_jacobian(spec, t, s)
-            agg = ex.tij_aggregate(jac_fn, thetas, method="rms")
+            agg = ex.tij_aggregate(jac_fn, thetas)
             feats.append(ex.threshold(ex.feature_raw(agg), 0.2))
             labels.append(sid)
         m = ex.build_matrix(feats, labels, spec.joint_order)

@@ -42,11 +42,17 @@ class TestPipeline:
         assert report.exact_match
 
     def test_reproducible_bit_for_bit(self, short_oracle_manifest):
-        a = run_pipeline(short_oracle_manifest)
-        b = run_pipeline(short_oracle_manifest)
-        assert a.matrix == b.matrix
-        assert a.tree == b.tree
-        assert a.delta_used == b.delta_used
+        tiny_learned = ExperimentManifest(
+            robot="robot5", mode="learned", duration=1.0, rate=50.0,
+            epochs=1, hidden_width=8, sensors_per_link=1, delta_grid_size=5,
+        )
+        for manifest in (short_oracle_manifest, tiny_learned):
+            a = run_pipeline(manifest)
+            b = run_pipeline(manifest)
+            assert dataclasses.replace(a, timings={}) == dataclasses.replace(b, timings={})
+            assert a.matrix == b.matrix
+            assert a.tree == b.tree
+            assert a.delta_used == b.delta_used
 
     def test_manifest_roundtrip(self, tmp_path):
         m = ExperimentManifest(robot="robot2", mode="learned", seed=42, delta=0.15)
@@ -55,12 +61,22 @@ class TestPipeline:
         assert load_manifest(path) == m
 
     def test_manifest_rejects_unknown_fields(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"robot": "robot1", "bogus": 1}))
         from bodyschema.errors import SchemaError
 
-        with pytest.raises(SchemaError):
-            load_manifest(path)
+        path = tmp_path / "manifest.json"
+        # a made-up field, then fields of older manifests at the values every
+        # run used
+        for key, value in [
+            ("bogus", 1),
+            ("cluster_method", "dpmeans"),
+            ("aggregate", "rms"),
+            ("optimizer", "adam"),
+            ("momentum", 0.0),
+        ]:
+            path.write_text(json.dumps({**ExperimentManifest().to_json_dict(), key: value}))
+            with pytest.raises(SchemaError, match=key):
+                load_manifest(path)
+            assert cli.main(["run", "--manifest", str(path)]) == cli.EXIT_SCHEMA
 
     def test_unsensed_link_filled_by_completion(self, tmp_path):
         # strip the sensors from a link with two children: its row
@@ -116,7 +132,7 @@ class TestPipeline:
         dprimes = {
             sid: extraction.feature_raw(extraction.tij_aggregate(
                 lambda th, s=sid: chain.analytic_jacobian(spec, th, s),
-                thetas, method="rms",
+                thetas,
             ))
             for sid in spec.sensor_ids
         }
@@ -271,11 +287,11 @@ class TestCli:
         "bad, fields",
         [
             ("mode", {"mode": "bogus"}),
-            ("aggregate", {"aggregate": "nope"}),
+            ("trajectory_mode", {"trajectory_mode": "nope"}),
             ("duration", {"mode": "learned", "duration": -1}),
             ("sensors_per_link", {"sensors_per_link": "two"}),
         ],
-        ids=["mode", "aggregate", "duration", "sensors_per_link"],
+        ids=["mode", "trajectory_mode", "duration", "sensors_per_link"],
     )
     def test_run_manifest_bad_value_exit_code(self, tmp_path, capsys, bad, fields):
         # a value the pipeline cannot run with is a malformed manifest, caught
@@ -350,7 +366,7 @@ class TestCli:
 
         drawn = []
 
-        def spy(jac_fn, thetas, method="second_moment"):
+        def spy(jac_fn, thetas):
             drawn.append(np.array(thetas))
             raise Drawn
 

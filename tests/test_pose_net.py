@@ -249,7 +249,6 @@ def tiny_training_setup():
         seed=0,
         ts=0.01,
         gravity=True,
-        optimizer="adam",
     )
     return spec, dataset, cfg
 
@@ -292,7 +291,7 @@ class TestTraining:
         feats = []
         for res in (a, b):
             jac_fn = lambda th, net=res.net: pn.pose_jacobian(net, th)
-            agg = ex.tij_aggregate(jac_fn, thetas, method="rms")
+            agg = ex.tij_aggregate(jac_fn, thetas)
             feats.append(ex.threshold(ex.feature_raw(agg), 0.3))
         assert np.array_equal(feats[0], feats[1])
         assert feats[0].tolist() == [1]
@@ -409,9 +408,7 @@ class TestKernelBitIdentity:
         dataset = pn.SensorDataset.from_samples(samples, spec.sensor_ids[-1])
         # a long sample period keeps R2 far from the identity, where a
         # last-bit change in it would reach the parameters
-        cfg = pn.TrainConfig(
-            learning_rate=0.01, epochs=3, seed=4, ts=1.0, optimizer="adam"
-        )
+        cfg = pn.TrainConfig(learning_rate=0.01, epochs=3, seed=4, ts=1.0)
         net = pn.init_pose_net(spec.n_joints, widths=(16, 16, 16), seed=5)
         fast = pn.train(net, dataset, cfg)
         monkeypatch.setattr(pn, "_axis_rot_batch", _axis_rot_batch_stacked)
@@ -424,16 +421,13 @@ class TestKernelBitIdentity:
         assert fast.epoch_losses == ref.epoch_losses
         assert fast.final_loss == ref.final_loss
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_flat_optimizer_step_equals_per_tensor_loop(self, optimizer):
+    def test_flat_optimizer_step_equals_per_tensor_loop(self):
         spec = robots.builtin_robot("robot2", sensors_per_link=1)
         traj = chain.add_noise(
             chain.gen_trajectory(spec, duration=3.0, rate=100, seed=3), 0.05, 0.01, 3
         )
         data = pn.SensorDataset.from_samples(traj, spec.sensor_ids[-1])
-        cfg = pn.TrainConfig(
-            learning_rate=0.01, epochs=2, seed=4, optimizer=optimizer, momentum=0.5
-        )
+        cfg = pn.TrainConfig(learning_rate=0.01, epochs=2, seed=4)
         net = pn.init_pose_net(spec.n_joints, widths=(16, 16, 16), seed=5)
         fast = pn.train(net, data, cfg)
         # the per-tensor update loop, each batch's kernel fed its beta rows
@@ -454,18 +448,13 @@ class TestKernelBitIdentity:
                 )
                 step += 1
                 for p, vel, sec, grad in zip(params, velocity, second, grads):
-                    if optimizer == "adam":
-                        vel *= 0.9
-                        vel += (1.0 - 0.9) * grad
-                        sec *= 0.999
-                        sec += (1.0 - 0.999) * grad * grad
-                        vhat = vel / (1.0 - 0.9**step)
-                        shat = sec / (1.0 - 0.999**step)
-                        p -= cfg.learning_rate * vhat / (np.sqrt(shat) + 1e-8)
-                    else:
-                        vel *= cfg.momentum
-                        vel -= cfg.learning_rate * grad
-                        p += vel
+                    vel *= 0.9
+                    vel += (1.0 - 0.9) * grad
+                    sec *= 0.999
+                    sec += (1.0 - 0.999) * grad * grad
+                    vhat = vel / (1.0 - 0.9**step)
+                    shat = sec / (1.0 - 0.999**step)
+                    p -= cfg.learning_rate * vhat / (np.sqrt(shat) + 1e-8)
         for pf, pr in zip(fast.net.params(), params):
             assert np.array_equal(pf, pr)
 

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -110,34 +109,3 @@ def test_conjugation_identity(angles, v):
     v = np.array(v)
     assert np.allclose(rm.hat(r @ v), r @ rm.hat(v) @ r.T, atol=1e-12)
 
-
-def _random_transform(rng):
-    return rm.make_transform(
-        rm.rpy_matrix(rng.uniform(-np.pi, np.pi, 3)), rng.uniform(-2, 2, 3)
-    )
-
-
-def test_compose_identity_and_inverse():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        t = _random_transform(rng)
-        assert np.allclose(rm.compose(np.eye(4), t), t)
-        assert np.abs(rm.compose(t, rm.invert(t)) - np.eye(4)).max() < 1e-9
-        assert np.allclose(rm.invert(rm.invert(t)), t, atol=1e-12)
-
-
-def test_invert_matches_block_form():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        t = _random_transform(rng)
-        numeric = np.linalg.inv(t)
-        assert np.abs(rm.invert(t) - numeric).max() < 1e-9
-        r, b = t[:3, :3], t[:3, 3]
-        assert np.allclose(rm.invert(t)[:3, :3], r.T)
-        assert np.allclose(rm.invert(t)[:3, 3], -r.T @ b)
-
-
-def test_require_rotation_rejects_junk():
-    with pytest.raises(ValueError):
-        rm.require_rotation(np.ones((3, 3)))
-    rm.require_rotation(rm.rot_x(0.3))
