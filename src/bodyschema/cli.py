@@ -145,11 +145,33 @@ def cmd_to_tree(args) -> int:
     return 0
 
 
+def _require_not_tall(matrix: tp.DependencyMatrix, path) -> None:
+    k, n = matrix.shape
+    if k > n:
+        raise NotATreeError(f"{path}: {k} rows but only {n} columns")
+
+
+def _fresh_row_labels(matrix: tp.DependencyMatrix, given: str | None) -> list[str]:
+    """The ``--labels`` list, checked to name each missing row once and no
+    observed row; without it, ``u1, u2, ...`` skipping observed labels."""
+    missing = matrix.shape[1] - matrix.shape[0]
+    if not given:
+        return fresh_labels(matrix.row_labels, missing)
+    labels = given.split(",")
+    if len(labels) != missing or len(set(labels)) != len(labels):
+        raise SchemaError(
+            f"--labels must name the {missing} missing row(s) once each, got {given!r}"
+        )
+    taken = sorted(set(labels) & set(matrix.row_labels))
+    if taken:
+        raise SchemaError(f"--labels repeats observed row(s) {', '.join(taken)}")
+    return labels
+
+
 def cmd_complete(args) -> int:
     matrix = _load_matrix(args.matrix)
-    labels = args.labels.split(",") if args.labels else fresh_labels(
-        matrix.row_labels, matrix.shape[1] - matrix.shape[0]
-    )
+    _require_not_tall(matrix, args.matrix)
+    labels = _fresh_row_labels(matrix, args.labels)
     unique = is_unique_completion(matrix)
     full = complete(matrix, labels, seed=args.seed)
     _write_json(args.out, full.to_json_dict())
@@ -159,6 +181,7 @@ def cmd_complete(args) -> int:
 
 def cmd_correct(args) -> int:
     matrix = _load_matrix(args.matrix)
+    _require_not_tall(matrix, args.matrix)
     k, n = matrix.shape
     result = correct_partial(matrix) if k < n else trellis_correct(matrix)
     _write_json(args.out, result.to_json_dict())

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .completion import fresh_labels
-from .topology import DependencyMatrix, check_conditions, dilation_matrix
+from .topology import DependencyMatrix, check_conditions
+from .topology import dilation_matrix  # noqa: F401 -- schemabench traces it here
 
 # beyond this size an unbounded beam can explode; the cap is recorded in the
 # result so a truncated search is never mistaken for an exhaustive one
@@ -100,6 +101,24 @@ class CorrectionResult:
         }
 
 
+def _dilations(beam: np.ndarray) -> np.ndarray:
+    """Every legal one-step dilation of every matrix in ``beam`` (m, n, n).
+
+    The guard is ``topology.dilation_matrix``'s: row i holds a single 1 in a
+    column no other row uses, and row j != i then grows it to
+    ``row_i | row_j``.  Rows i and j are disjoint by that guard alone, since
+    row i's one column is nobody else's.
+    """
+    n = beam.shape[1]
+    own = beam.argmax(axis=2)
+    col_use = np.take_along_axis(beam.sum(axis=1), own, axis=1)
+    leaf = (beam.sum(axis=2) == 1) & (col_use == 1)
+    b, i, j = np.nonzero(leaf[:, :, None] & ~np.eye(n, dtype=bool))
+    grown = beam[b]
+    grown[np.arange(len(b)), i] |= beam[b, j]
+    return grown
+
+
 def trellis_correct(d: DependencyMatrix, beam_cap: int | None = None) -> CorrectionResult:
     """Beam search over one-step dilations from the nearest permutation
     matrix, minimizing Hamming distance to ``d``.
@@ -107,6 +126,11 @@ def trellis_correct(d: DependencyMatrix, beam_cap: int | None = None) -> Correct
     The beam keeps every minimizer each round (capped for large matrices);
     the search stops as soon as a round fails to improve the incumbent
     distance.  A valid input is returned unchanged at distance zero.
+
+    The beam is one (m, n, n) array in canonical label order, so a round
+    grows and scores every dilation of every member at once.  Winners are
+    deduplicated and sorted by their entries, which is the order of their
+    ``canonical_key``s: all of them share the labels and hold only 0/1.
     """
     k, n = d.shape
     if k != n:
@@ -116,41 +140,29 @@ def trellis_correct(d: DependencyMatrix, beam_cap: int | None = None) -> Correct
     if beam_cap is None and n > AUTO_CAP_THRESHOLD:
         beam_cap = AUTO_CAP
 
-    seed = nearest_permutation(d)
-    beam = {seed.canonical_key(): seed}
-    g = hamming(seed, d)
+    target = d.canonical()
+    seed = nearest_permutation(target)
+    beam = seed.values[None]
+    g = int((seed.values != target.values).sum())
     rounds = 0
     capped = False
-    labels = seed.row_labels
     while True:
-        scored: dict = {}
-        for m in beam.values():
-            for i in labels:
-                for j in labels:
-                    if i == j:
-                        continue
-                    grown = dilation_matrix(m, i, j)
-                    if grown is m:
-                        continue
-                    key = grown.canonical_key()
-                    if key not in scored:
-                        scored[key] = (hamming(grown, d), grown)
-        if not scored:
+        grown = _dilations(beam)
+        if not len(grown):
             break
-        g_new = min(dist for dist, _ in scored.values())
+        dist = (grown != target.values).sum(axis=(1, 2))
+        g_new = int(dist.min())
         if g_new >= g:
             break
         rounds += 1
         g = g_new
-        winners = sorted(
-            (key for key, (dist, _) in scored.items() if dist == g_new)
-        )
+        winners = np.unique(grown[dist == g_new].reshape(-1, n * n), axis=0)
         if beam_cap is not None and len(winners) > beam_cap:
             winners = winners[:beam_cap]
             capped = True
-        beam = {key: scored[key][1] for key in winners}
+        beam = winners.reshape(-1, n, n)
 
-    candidates = tuple(beam[key] for key in sorted(beam))
+    candidates = tuple(seed.with_values(v) for v in beam)
     return CorrectionResult(candidates, g, rounds, capped)
 
 

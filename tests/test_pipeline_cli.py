@@ -498,6 +498,44 @@ class TestCli:
         assert full.row_labels[:4] == observed
         assert len(set(full.row_labels)) == 5
 
+    @pytest.mark.parametrize(
+        "rows, labels, named",
+        [
+            (["b", "c", "d", "f"], "x,y", "--labels"),
+            (["b", "c", "d"], "x", "--labels"),
+            (["b", "c", "d"], "x,x", "--labels"),
+            (["b", "c", "d", "f"], "c", "c"),
+        ],
+        ids=["too-many", "too-few", "repeated", "observed"],
+    )
+    def test_complete_bad_labels_exit_code(self, tmp_path, capsys, rows, labels, named):
+        m = tp.DependencyMatrix(FIVE_NODE_ROWS, FIVE_NODE_COLS, FIVE_NODE_VALUES)
+        src = tmp_path / "partial.json"
+        src.write_text(json.dumps(m.restrict_rows(rows).to_json_dict()))
+        out = tmp_path / "full.json"
+        assert cli.main([
+            "complete", "--matrix", str(src), "--labels", labels, "--out", str(out),
+        ]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "--labels" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["correct", "complete"])
+    def test_tall_matrix_exit_code(self, tmp_path, capsys, command):
+        # more rows than columns has no tree: exit 3, no traceback
+        src = tmp_path / "tall.json"
+        src.write_text(json.dumps({
+            "row_labels": ["r1", "r2", "r3"],
+            "col_labels": ["c1", "c2"],
+            "rows": [[1, 0], [1, 1], [0, 1]],
+        }))
+        out = tmp_path / "out.json"
+        assert cli.main([command, "--matrix", str(src), "--out", str(out)]) == (
+            cli.EXIT_NOT_A_TREE
+        )
+        assert "3 rows but only 2 columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_writes_pipeline_trajectory(self, tmp_path):
         robot = tmp_path / "robot.json"
         traj = tmp_path / "traj.jsonl"
