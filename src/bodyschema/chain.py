@@ -195,14 +195,15 @@ def _check_theta(spec: RobotSpec, theta, max_ndim: int = 1) -> np.ndarray:
     return theta
 
 
-def _sensor_triples(spec: RobotSpec, sensor_ids, theta, theta_dot, theta_ddot):
-    """Yield ``(sensor_id, (T, dT/dt, d2T/dt2))`` for the given sensors, each
-    a (T, 4, 4) stack over the rows of the (T, N) joint states.
+def _walk(spec: RobotSpec, sensor_ids, theta, root, extend, emit):
+    """Yield ``(sensor_id, emit(state, sensor_id))`` for the given sensors
+    from one depth-first walk of the nodes on their root paths.
 
-    The tree is walked depth first: a node's triple is its parent's folded
-    with its own joint factor, the same left fold as along the whole root
-    path, computed once for all sensors below it and dropped once its
-    subtree is done.
+    A node's state is ``extend(parent_state, edge, rot)``, with ``root`` as
+    the state above the tree and ``rot`` the (T, 4, 4) stack of the node's
+    joint rotation over the rows of the (T, N) theta; all rotations come
+    from one ``rm.rodrigues`` call.  Each state is computed once for every
+    sensor below it and dropped once its subtree is done.
     """
     top = spec.topology
     by_node: dict[str, list[str]] = {}
@@ -213,28 +214,48 @@ def _sensor_triples(spec: RobotSpec, sensor_ids, theta, theta_dot, theta_ddot):
         while node is not None:
             nodes.add(node)
             node = top.parent(node)
+    if not nodes:
+        return
     nodes = sorted(nodes)
     children: dict[str | None, list[str]] = {}
     for node in nodes:
         children.setdefault(top.parent(node), []).append(node)
     rots = _joint_rotations(spec, [top.edge_to(n) for n in nodes], theta)
-    zero = np.zeros((4, 4))
 
-    def visit(node, parent_triple):
+    def visit(node, parent_state):
         edge = top.edge_to(node)
-        k = spec.joint_index(edge)
-        triple = _factor_triple(
-            spec.joints[edge], rots.pop(edge), theta_dot[:, k], theta_ddot[:, k]
-        )
-        if parent_triple is not None:
-            triple = _chain_triple([parent_triple, triple])
+        state = extend(parent_state, edge, rots.pop(edge))
         for sid in by_node.get(node, ()):
-            yield sid, _chain_triple([triple, (spec.mount_of(sid), zero, zero)])
+            yield sid, emit(state, sid)
         for child in children.get(node, ()):
-            yield from visit(child, triple)
+            yield from visit(child, state)
 
     for node in children.get(None, ()):
-        yield from visit(node, None)
+        yield from visit(node, root)
+
+
+def _sensor_triples(spec: RobotSpec, sensor_ids, theta, theta_dot, theta_ddot):
+    """Yield ``(sensor_id, (T, dT/dt, d2T/dt2))`` for the given sensors, each
+    a (T, 4, 4) stack over the rows of the (T, N) joint states.
+
+    A node's triple is its parent's folded with its own joint factor, the
+    same left fold as along the whole root path.
+    """
+    zero = np.zeros((4, 4))
+
+    def extend(parent_triple, edge, rot):
+        k = spec.joint_index(edge)
+        triple = _factor_triple(
+            spec.joints[edge], rot, theta_dot[:, k], theta_ddot[:, k]
+        )
+        if parent_triple is None:
+            return triple
+        return _chain_triple([parent_triple, triple])
+
+    def emit(triple, sid):
+        return _chain_triple([triple, (spec.mount_of(sid), zero, zero)])
+
+    return _walk(spec, sensor_ids, theta, None, extend, emit)
 
 
 def pose_with_time_derivatives(
@@ -267,38 +288,55 @@ def fk(spec: RobotSpec, theta) -> dict[str, np.ndarray]:
     return out
 
 
-def analytic_jacobian(spec: RobotSpec, theta, sensor_id: str) -> np.ndarray:
-    """12xN pose Jacobian: rows stack d(n_x)/dtheta, d(n_y)/dtheta,
-    d(n_z)/dtheta, d(b)/dtheta.  Columns of joints off the sensor's root
-    path are identically zero.
+def analytic_jacobians(spec: RobotSpec, theta, sensor_ids=None):
+    """Yield ``(sensor_id, jacobian)`` for ``sensor_ids`` (default: every
+    sensor), depth first over the tree rather than in the given order.
 
-    A (T, N) stack of configurations gives the (T, 12, N) stack of their
-    Jacobians, each equal to its one-configuration result."""
+    Each Jacobian is 12xN: rows stack d(n_x)/dtheta, d(n_y)/dtheta,
+    d(n_z)/dtheta, d(b)/dtheta.  Columns of joints off the sensor's root
+    path are identically zero.  A (T, N) stack of configurations gives the
+    (T, 12, N) stack of their Jacobians, each equal to its one-configuration
+    result.
+
+    Column ``p`` of a sensor below factors f_1 ... f_L is the left fold
+    I @ f_1 @ ... @ df_p @ ... @ f_L @ mount, with f = offset @ Rot(axis,
+    q) and df = f @ hat(axis).  The walk keeps, per node, the fold of the
+    factors (``value``) and the (L, T, 4, 4) partial folds of every column
+    so far; a child extends each partial by its own factor and adds one
+    column, ``value @ df``.  The products are the ones a fold along each
+    sensor's root path would make, so every Jacobian is bit-identical to it.
+    """
     theta = _check_theta(spec, theta, max_ndim=2)
     thetas = np.atleast_2d(theta)
-    node = spec.sensor_link(sensor_id)
-    path = spec.topology.root_path_edges(node)
-    rots = _joint_rotations(spec, path, thetas)
-    factors = []
-    for edge in path:
-        joint = spec.joints[edge]
-        m = joint.offset @ rots[edge]
-        factors.append((m, m @ _hat4(joint.axis)))
-    mount = spec.mount_of(sensor_id)
+    # (value, partials, joint columns of the partials); the fold starts at I
+    root = (np.eye(4), np.empty((0, 1, 4, 4)), ())
 
-    jac = np.zeros((len(thetas), 12, spec.n_joints))
-    for pos, edge in enumerate(path):
-        k = spec.joint_index(edge)
-        dt = np.eye(4)
-        for q, (m, dm) in enumerate(factors):
-            dt = dt @ (dm if q == pos else m)
-        dt = dt @ mount
-        # columns of R then translation: n_x, n_y, n_z, b
-        jac[:, 0:3, k] = dt[:, :3, 0]
-        jac[:, 3:6, k] = dt[:, :3, 1]
-        jac[:, 6:9, k] = dt[:, :3, 2]
-        jac[:, 9:12, k] = dt[:, :3, 3]
-    return jac[0] if theta.ndim == 1 else jac
+    def extend(state, edge, rot):
+        value, partials, cols = state
+        joint = spec.joints[edge]
+        m = joint.offset @ rot
+        dm = m @ _hat4(joint.axis)
+        partials = np.concatenate([partials @ m, (value @ dm)[None]])
+        return value @ m, partials, cols + (spec.joint_index(edge),)
+
+    def emit(state, sid):
+        _, partials, cols = state
+        # (L, T, 4, 4) to (T, 12, L), reading the columns of R then the
+        # translation: n_x, n_y, n_z, b
+        dts = (partials @ spec.mount_of(sid))[:, :, :3].transpose(1, 3, 2, 0)
+        jac = np.zeros((len(thetas), 12, spec.n_joints))
+        jac[:, :, list(cols)] = dts.reshape(len(thetas), 12, -1)
+        return jac[0] if theta.ndim == 1 else jac
+
+    ids = spec.sensor_ids if sensor_ids is None else sensor_ids
+    return _walk(spec, ids, thetas, root, extend, emit)
+
+
+def analytic_jacobian(spec: RobotSpec, theta, sensor_id: str) -> np.ndarray:
+    """One sensor's pose Jacobian: the one-sensor case of
+    ``analytic_jacobians``."""
+    ((_, jac),) = analytic_jacobians(spec, theta, [sensor_id])
+    return jac
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,9 @@ def cmd_extract(args) -> int:
         }
     # the same sampling rule as ``run`` for this seed and mode
     thetas = _extraction_thetas(spec, traj, manifest)
-    dprimes, skipped = sensor_features(jacobian_fns(spec, nets), thetas)
+    dprimes, skipped = sensor_features(
+        jacobian_fns(spec, nets), thetas, spec.sensor_ids
+    )
     for sid in skipped:
         print(f"skipped degenerate sensor {sid}", file=sys.stderr)
     # one row per sensor at the fixed threshold, without clustering

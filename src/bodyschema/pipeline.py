@@ -225,36 +225,36 @@ def _extraction_thetas(spec, traj, manifest: ExperimentManifest) -> np.ndarray:
     return rng.uniform(-np.pi, np.pi, (manifest.theta_samples, spec.n_joints))
 
 
-def jacobian_fns(spec: chain.RobotSpec, nets=None) -> dict:
-    """``{sensor_id: theta -> 12xN pose Jacobian}``: from the trained pose nets
-    when ``nets`` (``{sensor_id: PoseNet}``) is given, else the analytic
-    oracle of every sensor of ``spec``.  A (T, N) stack of configurations
-    gives the (T, 12, N) stack of Jacobians."""
+def jacobian_fns(spec: chain.RobotSpec, nets=None):
+    """One callable mapping a (T, N) stack of configurations to ``(sensor_id,
+    (T, 12, N) pose Jacobian stack)`` pairs: from the trained pose nets when
+    ``nets`` (``{sensor_id: PoseNet}``) is given, else from one walk of the
+    analytic oracle over every sensor of ``spec``, in tree order."""
     if nets is None:
-        return {
-            sid: (lambda th, s=sid: chain.analytic_jacobian(spec, th, s))
-            for sid in spec.sensor_ids
-        }
-    return {
-        sid: (lambda th, net=net: pose_net.pose_jacobian(net, th))
-        for sid, net in nets.items()
-    }
+        return lambda thetas: chain.analytic_jacobians(spec, thetas)
+    return lambda thetas: (
+        (sid, pose_net.pose_jacobian(net, thetas)) for sid, net in nets.items()
+    )
 
 
-def sensor_features(jac_fns: dict, thetas):
+def sensor_features(jacobians, thetas, sensor_ids):
     """Each sensor's normalized feature ``d'`` over the configurations, and
-    the sensors skipped because their aggregated Jacobian is all zero.
+    the sensors skipped because their aggregated Jacobian is all zero, both
+    in ``sensor_ids`` order.  ``jacobians`` is a ``jacobian_fns`` callable;
+    each stack is squashed as it arrives.
 
     Raises ``DegenerateSensorError`` when every sensor is skipped."""
-    dprimes: dict[str, np.ndarray] = {}
-    skipped: list[str] = []
-    for sid, jac_fn in jac_fns.items():
+    found: dict[str, np.ndarray] = {}
+    degenerate = set()
+    for sid, stack in jacobians(thetas):
         try:
-            dprimes[sid] = extraction.feature_raw(
-                extraction.tij_aggregate(jac_fn, thetas)
+            found[sid] = extraction.feature_raw(
+                extraction.tij_aggregate(lambda th, stack=stack: stack, thetas)
             )
         except DegenerateSensorError:
-            skipped.append(sid)
+            degenerate.add(sid)
+    dprimes = {sid: found[sid] for sid in sensor_ids if sid in found}
+    skipped = [sid for sid in sensor_ids if sid in degenerate]
     if not dprimes:
         raise DegenerateSensorError(f"every sensor is degenerate: {skipped}")
     return dprimes, skipped
@@ -450,7 +450,9 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
         nets = None
     else:
         raise ValueError(f"unknown mode {manifest.mode!r}")
-    dprimes, skipped = sensor_features(jacobian_fns(spec, nets), thetas)
+    dprimes, skipped = sensor_features(
+        jacobian_fns(spec, nets), thetas, spec.sensor_ids
+    )
     timings["train_extract"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -3,9 +3,8 @@
 Each sensor owns one small network: three sigmoid hidden layers feeding a
 3-unit linear translation head and a 3-unit linear rotation head whose
 outputs are read as roll-pitch-yaw angles (periodic, so no range clamp is
-needed; ``forward`` reports them wrapped into [0, 2pi)).  The rotation block
-is assembled as Rz(yaw) @ Ry(pitch) @ Rx(roll), giving an orthonormal block
-by construction.
+needed).  The rotation block is assembled as Rz(yaw) @ Ry(pitch) @ Rx(roll),
+giving an orthonormal block by construction.
 
 Training minimizes, per sample,
 
@@ -23,11 +22,10 @@ Hessian tensor is ever materialized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rigid_motion as rm
 from .errors import SchemaError, TrainingDivergedError
 
 # smoothing for the norm term: keeps the gradient finite at a perfect fit
@@ -234,80 +232,6 @@ def _mlp_streams(net: PoseNet, theta, theta_dot, theta_ddot):
     return x, u, v, caches
 
 
-def _head_outputs(net: PoseNet, x, u, v):
-    wt, bt = net.head_t
-    wr, br = net.head_r
-    t = x @ wt.T + bt
-    td = u @ wt.T
-    tdd = v @ wt.T
-    r = x @ wr.T + br
-    rd = u @ wr.T
-    rdd = v @ wr.T
-    return t, td, tdd, r, rd, rdd
-
-
-def forward(net: PoseNet, theta) -> np.ndarray:
-    """Pose at one configuration, assembled into a homogeneous transform."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (net.n_joints,):
-        raise ValueError(f"theta must have length {net.n_joints}")
-    x, _, _, _ = _mlp_streams(net, theta, np.zeros_like(theta), np.zeros_like(theta))
-    t, _, _, r, _, _ = _head_outputs(net, x, x, x)
-    return rm.make_transform(rm.rpy_matrix(r[0]), t[0])
-
-
-def rotation_head_angles(net: PoseNet, theta) -> np.ndarray:
-    """Rotation head output wrapped into [0, 2pi)."""
-    x, _, _, _ = _mlp_streams(net, theta, np.zeros_like(theta), np.zeros_like(theta))
-    _, _, _, r, _, _ = _head_outputs(net, x, x, x)
-    return np.mod(r[0], 2.0 * np.pi)
-
-
-def _rotation_triple(r, rd, rdd):
-    """(R, dR/dt, d2R/dt2) batched, from angle triples and their rates."""
-    f1, f1d_m, f1dd_m = _axis_rot_batch(0, r[:, 0])
-    f2, f2d_m, f2dd_m = _axis_rot_batch(1, r[:, 1])
-    f3, f3d_m, f3dd_m = _axis_rot_batch(2, r[:, 2])
-
-    def dots(a1, a2, phi_d, phi_dd):
-        d = a1 * phi_d[:, None, None]
-        dd = a2 * (phi_d**2)[:, None, None] + a1 * phi_dd[:, None, None]
-        return d, dd
-
-    f1_d, f1_dd = dots(f1d_m, f1dd_m, rd[:, 0], rdd[:, 0])
-    f2_d, f2_dd = dots(f2d_m, f2dd_m, rd[:, 1], rdd[:, 1])
-    f3_d, f3_dd = dots(f3d_m, f3dd_m, rd[:, 2], rdd[:, 2])
-
-    g = f2 @ f1
-    g_d = f2_d @ f1 + f2 @ f1_d
-    g_dd = f2_dd @ f1 + 2.0 * (f2_d @ f1_d) + f2 @ f1_dd
-    rot = f3 @ g
-    rot_d = f3_d @ g + f3 @ g_d
-    rot_dd = f3_dd @ g + 2.0 * (f3_d @ g_d) + f3 @ g_dd
-    return rot, rot_d, rot_dd
-
-
-def time_derivatives(net: PoseNet, theta, theta_dot, theta_ddot):
-    """(T, dT/dt, d2T/dt2) along the given joint rates, from the two
-    directional-derivative streams in closed form."""
-    theta = np.asarray(theta, dtype=float)
-    theta_dot = np.asarray(theta_dot, dtype=float)
-    theta_ddot = np.asarray(theta_ddot, dtype=float)
-    if not theta.shape == theta_dot.shape == theta_ddot.shape == (net.n_joints,):
-        raise ValueError("inconsistent joint-vector lengths")
-    x, u, v, _ = _mlp_streams(net, theta, theta_dot, theta_ddot)
-    t, td, tdd, r, rd, rdd = _head_outputs(net, x, u, v)
-    rot, rot_d, rot_dd = _rotation_triple(r, rd, rdd)
-    out = rm.make_transform(rot[0], t[0])
-    out_d = np.zeros((4, 4))
-    out_d[:3, :3] = rot_d[0]
-    out_d[:3, 3] = td[0]
-    out_dd = np.zeros((4, 4))
-    out_dd[:3, :3] = rot_dd[0]
-    out_dd[:3, 3] = tdd[0]
-    return out, out_d, out_dd
-
-
 def pose_jacobian(net: PoseNet, theta) -> np.ndarray:
     """12xN Jacobian of the pose map, rows stacking the derivatives of the
     three rotation columns and the translation.
@@ -353,39 +277,6 @@ def pose_jacobian(net: PoseNet, theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
-
-
-def loss_from_pose(t, t_dot, t_ddot, alpha_b, beta_b, ts, gravity_vector=None):
-    """The training objective evaluated on an arbitrary pose triple; used
-    both by the network loss and by oracle checks with ground-truth
-    kinematics substituted for the net."""
-    r = np.asarray(t, dtype=float)[:3, :3]
-    r_dot = np.asarray(t_dot, dtype=float)[:3, :3]
-    b_dd = np.asarray(t_ddot, dtype=float)[:3, 3]
-    g = np.zeros(3) if gravity_vector is None else np.asarray(gravity_vector, float)
-    res = np.asarray(alpha_b, float) - r.T @ (b_dd - g)
-    l1 = float(np.sqrt(res @ res + _NORM_EPS))
-    omega = rm.vee_antisym(r.T @ r_dot)
-    r1 = rm.rodrigues(omega, ts)
-    r2 = rm.rpy_matrix(np.asarray(beta_b, float) * ts)
-    return l1 - float(np.sum(r1 * r2))
-
-
-def loss(net: PoseNet, theta, theta_dot, theta_ddot, alpha_b, beta_b, cfg: TrainConfig):
-    """Per-sample objective for one sensor measurement."""
-    value, _ = _batch_loss_and_grads(
-        net,
-        np.atleast_2d(theta),
-        np.atleast_2d(theta_dot),
-        np.atleast_2d(theta_ddot),
-        np.atleast_2d(alpha_b),
-        np.atleast_2d(beta_b),
-        cfg,
-        want_grads=False,
-    )
-    if not np.isfinite(value):
-        raise TrainingDivergedError("non-finite loss value")
-    return float(value)
 
 
 def _turn(vec, axis: int, c, s):

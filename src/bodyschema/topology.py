@@ -450,10 +450,12 @@ def dilation_matrix(d: DependencyMatrix, i: str, j: str) -> DependencyMatrix:
     if idx is None:
         return d
     ri, rj = d.values[idx[0]], d.values[idx[1]]
-    if ri.sum() != 1 or (ri & rj).any():
+    if ri.sum() != 1:
         return d
     c = int(np.argmax(ri))
-    if d.values[:, c].sum() != 1:  # some other path uses i's edge: not a leaf
+    # no other path uses i's edge, else i is no leaf; so row j (j != i)
+    # has a 0 there and the XOR below is a disjoint union
+    if d.values[:, c].sum() != 1:
         return d
     vals = d.values.copy()
     vals[idx[0]] = ri ^ rj

@@ -3,11 +3,15 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodyschema import chain, rigid_motion as rm, robots
 from bodyschema.chain import Joint, RobotSpec
 from bodyschema.errors import SchemaError
 from bodyschema.topology import OutTree
+
+from test_topology import random_trees
 
 
 @pytest.fixture(scope="module")
@@ -574,3 +578,111 @@ class TestBatchedBitIdentity:
         assert_same_samples(
             chain.add_noise(base, 0.05, 0.01, seed=5), _ref_add_noise(ref, 0.05, 0.01, 5)
         )
+
+
+def _reference_analytic_jacobian(spec, theta, sensor_id):
+    """One sensor's pose Jacobian by the fold along its own root path: each
+    column p is I @ f_1 @ ... @ df_p @ ... @ f_L @ mount.  The walk must
+    give these very floats."""
+    theta = chain._check_theta(spec, theta, max_ndim=2)
+    thetas = np.atleast_2d(theta)
+    path = spec.topology.root_path_edges(spec.sensor_link(sensor_id))
+    rots = chain._joint_rotations(spec, path, thetas)
+    factors = []
+    for edge in path:
+        joint = spec.joints[edge]
+        m = joint.offset @ rots[edge]
+        factors.append((m, m @ chain._hat4(joint.axis)))
+    mount = spec.mount_of(sensor_id)
+
+    jac = np.zeros((len(thetas), 12, spec.n_joints))
+    for pos, edge in enumerate(path):
+        k = spec.joint_index(edge)
+        dt = np.eye(4)
+        for q, (m, dm) in enumerate(factors):
+            dt = dt @ (dm if q == pos else m)
+        dt = dt @ mount
+        jac[:, 0:3, k] = dt[:, :3, 0]
+        jac[:, 3:6, k] = dt[:, :3, 1]
+        jac[:, 6:9, k] = dt[:, :3, 2]
+        jac[:, 9:12, k] = dt[:, :3, 3]
+    return jac[0] if theta.ndim == 1 else jac
+
+
+def _random_pose(rng, scale):
+    return rm.make_transform(
+        rm.rpy_matrix(rng.uniform(-np.pi, np.pi, 3)), rng.normal(scale=scale, size=3)
+    )
+
+
+@st.composite
+def random_robots(draw):
+    """A random tree with random joint axes, offsets and 0-2 sensors a link."""
+    topo = draw(random_trees())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joints = {}
+    for edge in topo.edges:
+        axis = rng.normal(size=3)
+        joints[edge] = Joint(axis / np.linalg.norm(axis), _random_pose(rng, 0.3))
+    mounts = {
+        node: tuple(_random_pose(rng, 0.1) for _ in range(draw(st.integers(0, 2))))
+        for node in topo.nodes
+    }
+    return RobotSpec(topo, joints, mounts)
+
+
+class TestJacobianWalk:
+    """One depth-first walk gives every sensor's Jacobian, each equal to the
+    per-sensor fold, compared exactly."""
+
+    @pytest.mark.parametrize("sensors_per_link", [1, 2, 3])
+    @pytest.mark.parametrize("name", robots.BUILTIN_NAMES)
+    def test_walk_equals_per_sensor_fold(self, name, sensors_per_link):
+        spec = robots.builtin_robot(name, sensors_per_link=sensors_per_link)
+        thetas = np.random.default_rng(31).uniform(-np.pi, np.pi, (64, spec.n_joints))
+        for theta in (thetas, thetas[:1], thetas[0]):
+            got = list(chain.analytic_jacobians(spec, theta))
+            assert sorted(sid for sid, _ in got) == sorted(spec.sensor_ids)
+            for sid, jac in got:
+                assert jac.shape == theta.shape[:-1] + (12, spec.n_joints)
+                assert_identical(jac, _reference_analytic_jacobian(spec, theta, sid))
+                assert_identical(chain.analytic_jacobian(spec, theta, sid), jac)
+
+    def test_subsets_yield_their_sensors_only(self, branched):
+        thetas = np.random.default_rng(32).uniform(-np.pi, np.pi, (16, branched.n_joints))
+        full = dict(chain.analytic_jacobians(branched, thetas))
+        for subset in (["l5:1"], ["l4:0", "l1:1", "l4:1"], branched.sensor_ids[::-1]):
+            got = list(chain.analytic_jacobians(branched, thetas, subset))
+            assert sorted(sid for sid, _ in got) == sorted(subset)
+            for sid, jac in got:
+                assert_identical(jac, full[sid])
+
+    @given(random_robots(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_trees_equal_per_sensor_fold(self, spec, data):
+        ids = list(spec.sensor_ids)
+        subset = data.draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+        rows = data.draw(st.sampled_from([(), (1,), (5,)]))  # (N,), T = 1, (T, N)
+        theta = np.random.default_rng(33).uniform(-np.pi, np.pi, rows + (spec.n_joints,))
+        for sensors, want in ((None, ids), (subset, subset)):
+            got = list(chain.analytic_jacobians(spec, theta, sensors))
+            assert sorted(sid for sid, _ in got) == sorted(want)
+            for sid, jac in got:
+                assert_identical(jac, _reference_analytic_jacobian(spec, theta, sid))
+
+    def test_one_rodrigues_call_per_walk(self, branched, monkeypatch):
+        calls = []
+        rodrigues = rm.rodrigues
+
+        def counted(*args):
+            calls.append(1)
+            return rodrigues(*args)
+
+        monkeypatch.setattr(rm, "rodrigues", counted)
+        thetas = np.zeros((8, branched.n_joints))
+        assert len(list(chain.analytic_jacobians(branched, thetas))) == 10
+        assert len(calls) == 1
+
+    def test_rejects_wrong_theta_length(self, branched):
+        with pytest.raises(ValueError):
+            chain.analytic_jacobians(branched, np.zeros((4, 3)))

@@ -9,8 +9,10 @@ import pytest
 
 from bodyschema import chain, cli, correction, extraction, pipeline, pose_net, robots
 from bodyschema import topology as tp
+from bodyschema.errors import DegenerateSensorError
 from bodyschema.pipeline import ExperimentManifest, load_manifest, run_pipeline
 
+from test_chain import _reference_analytic_jacobian
 from test_topology import FIVE_NODE_COLS, FIVE_NODE_ROWS, FIVE_NODE_VALUES
 
 
@@ -160,6 +162,88 @@ def small_net(n_joints, seed=0, degenerate=False):
         w, b = net.hidden[0]
         net.hidden[0] = (np.zeros_like(w), b)
     return net
+
+
+def per_sensor_features(jac_fns, thetas, sensor_ids):
+    """``sensor_features`` composed one sensor at a time from a
+    ``{sensor_id: theta -> Jacobian stack}`` dict."""
+    dprimes, skipped = {}, []
+    for sid in sensor_ids:
+        try:
+            dprimes[sid] = extraction.feature_raw(
+                extraction.tij_aggregate(jac_fns[sid], thetas)
+            )
+        except DegenerateSensorError:
+            skipped.append(sid)
+    return dprimes, skipped
+
+
+def assert_same_features(got, want):
+    """Equal ``(dprimes, skipped)``: keys in the same order, floats exact."""
+    assert list(got[0]) == list(want[0])
+    for sid in want[0]:
+        assert np.array_equal(got[0][sid], want[0][sid])
+    assert got[1] == want[1]
+
+
+class TestSensorFeatures:
+    """``sensor_features`` over one ``jacobian_fns`` callable gives the
+    ``d'`` of the per-sensor composition, in ``spec.sensor_ids`` order."""
+
+    @pytest.mark.parametrize("name", robots.BUILTIN_NAMES)
+    def test_oracle_walk_equals_per_sensor(self, name):
+        spec = robots.builtin_robot(name)
+        thetas = pipeline._extraction_thetas(spec, None, ExperimentManifest(seed=3))
+        got = pipeline.sensor_features(
+            pipeline.jacobian_fns(spec), thetas, spec.sensor_ids
+        )
+        want = per_sensor_features(
+            {
+                sid: (lambda th, s=sid: _reference_analytic_jacobian(spec, th, s))
+                for sid in spec.sensor_ids
+            },
+            thetas,
+            spec.sensor_ids,
+        )
+        assert_same_features(got, want)
+        assert list(got[0]) == list(spec.sensor_ids)
+
+    def test_walk_order_is_not_sensor_order(self):
+        # the walk yields robot3's l4 (under l2) before l3, so the oracle
+        # test above sees sensor_features restore the order
+        spec = robots.builtin_robot("robot3")
+        walked = [sid for sid, _ in chain.analytic_jacobians(spec, np.zeros(5))]
+        assert sorted(walked) == sorted(spec.sensor_ids)
+        assert walked != list(spec.sensor_ids)
+
+    def test_trained_nets_equal_per_sensor(self):
+        manifest = ExperimentManifest(
+            robot="robot2", mode="learned", duration=2.0, rate=50.0, epochs=1,
+            hidden_width=8, theta_samples=16,
+        )
+        spec = pipeline._resolve_robot(manifest)
+        traj = pipeline.simulate(spec, manifest)
+        # nets given in reverse order, two of them with a zeroed first layer
+        nets = {
+            sid: pipeline.train_sensor(spec, traj, sid, manifest).net
+            for sid in reversed(spec.sensor_ids)
+        }
+        for sid in (spec.sensor_ids[6], spec.sensor_ids[1]):
+            nets[sid] = small_net(spec.n_joints, degenerate=True)
+        thetas = pipeline._extraction_thetas(spec, traj, manifest)
+        got = pipeline.sensor_features(
+            pipeline.jacobian_fns(spec, nets), thetas, spec.sensor_ids
+        )
+        want = per_sensor_features(
+            {
+                sid: (lambda th, net=net: pose_net.pose_jacobian(net, th))
+                for sid, net in nets.items()
+            },
+            thetas,
+            spec.sensor_ids,
+        )
+        assert_same_features(got, want)
+        assert got[1] == [spec.sensor_ids[1], spec.sensor_ids[6]]
 
 
 def write_five_node_matrix(path):

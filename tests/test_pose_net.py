@@ -18,6 +18,120 @@ def one_joint_robot():
     return RobotSpec(topo, joints, mounts, np.array([0.0, 0.0, -9.8]))
 
 
+# ---------------------------------------------------------------------------
+# Matrix-form references.  The package trains and differentiates the net with
+# the closed-form kernel and ``pose_jacobian`` alone; these build the pose and
+# the loss as 3x3 and 4x4 matrices, the way the objective is written, so the
+# tests can check the kernel against them.
+# ---------------------------------------------------------------------------
+
+
+def _head_outputs(net, x, u, v):
+    wt, bt = net.head_t
+    wr, br = net.head_r
+    t = x @ wt.T + bt
+    td = u @ wt.T
+    tdd = v @ wt.T
+    r = x @ wr.T + br
+    rd = u @ wr.T
+    rdd = v @ wr.T
+    return t, td, tdd, r, rd, rdd
+
+
+def forward(net, theta):
+    """Pose at one configuration, assembled into a homogeneous transform."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (net.n_joints,):
+        raise ValueError(f"theta must have length {net.n_joints}")
+    x, _, _, _ = pn._mlp_streams(net, theta, np.zeros_like(theta), np.zeros_like(theta))
+    t, _, _, r, _, _ = _head_outputs(net, x, x, x)
+    return rm.make_transform(rm.rpy_matrix(r[0]), t[0])
+
+
+def rotation_head_angles(net, theta):
+    """Rotation head output wrapped into [0, 2pi)."""
+    x, _, _, _ = pn._mlp_streams(net, theta, np.zeros_like(theta), np.zeros_like(theta))
+    _, _, _, r, _, _ = _head_outputs(net, x, x, x)
+    return np.mod(r[0], 2.0 * np.pi)
+
+
+def _rotation_triple(r, rd, rdd):
+    """(R, dR/dt, d2R/dt2) batched, from angle triples and their rates."""
+    f1, f1d_m, f1dd_m = pn._axis_rot_batch(0, r[:, 0])
+    f2, f2d_m, f2dd_m = pn._axis_rot_batch(1, r[:, 1])
+    f3, f3d_m, f3dd_m = pn._axis_rot_batch(2, r[:, 2])
+
+    def dots(a1, a2, phi_d, phi_dd):
+        d = a1 * phi_d[:, None, None]
+        dd = a2 * (phi_d**2)[:, None, None] + a1 * phi_dd[:, None, None]
+        return d, dd
+
+    f1_d, f1_dd = dots(f1d_m, f1dd_m, rd[:, 0], rdd[:, 0])
+    f2_d, f2_dd = dots(f2d_m, f2dd_m, rd[:, 1], rdd[:, 1])
+    f3_d, f3_dd = dots(f3d_m, f3dd_m, rd[:, 2], rdd[:, 2])
+
+    g = f2 @ f1
+    g_d = f2_d @ f1 + f2 @ f1_d
+    g_dd = f2_dd @ f1 + 2.0 * (f2_d @ f1_d) + f2 @ f1_dd
+    rot = f3 @ g
+    rot_d = f3_d @ g + f3 @ g_d
+    rot_dd = f3_dd @ g + 2.0 * (f3_d @ g_d) + f3 @ g_dd
+    return rot, rot_d, rot_dd
+
+
+def time_derivatives(net, theta, theta_dot, theta_ddot):
+    """(T, dT/dt, d2T/dt2) along the given joint rates, from the two
+    directional-derivative streams in closed form."""
+    theta = np.asarray(theta, dtype=float)
+    theta_dot = np.asarray(theta_dot, dtype=float)
+    theta_ddot = np.asarray(theta_ddot, dtype=float)
+    if not theta.shape == theta_dot.shape == theta_ddot.shape == (net.n_joints,):
+        raise ValueError("inconsistent joint-vector lengths")
+    x, u, v, _ = pn._mlp_streams(net, theta, theta_dot, theta_ddot)
+    t, td, tdd, r, rd, rdd = _head_outputs(net, x, u, v)
+    rot, rot_d, rot_dd = _rotation_triple(r, rd, rdd)
+    out = rm.make_transform(rot[0], t[0])
+    out_d = np.zeros((4, 4))
+    out_d[:3, :3] = rot_d[0]
+    out_d[:3, 3] = td[0]
+    out_dd = np.zeros((4, 4))
+    out_dd[:3, :3] = rot_dd[0]
+    out_dd[:3, 3] = tdd[0]
+    return out, out_d, out_dd
+
+
+def loss_from_pose(t, t_dot, t_ddot, alpha_b, beta_b, ts, gravity_vector=None):
+    """The training objective evaluated on an arbitrary pose triple: the
+    net's (``time_derivatives``) or the ground-truth kinematics'."""
+    r = np.asarray(t, dtype=float)[:3, :3]
+    r_dot = np.asarray(t_dot, dtype=float)[:3, :3]
+    b_dd = np.asarray(t_ddot, dtype=float)[:3, 3]
+    g = np.zeros(3) if gravity_vector is None else np.asarray(gravity_vector, float)
+    res = np.asarray(alpha_b, float) - r.T @ (b_dd - g)
+    l1 = float(np.sqrt(res @ res + pn._NORM_EPS))
+    omega = rm.vee_antisym(r.T @ r_dot)
+    r1 = rm.rodrigues(omega, ts)
+    r2 = rm.rpy_matrix(np.asarray(beta_b, float) * ts)
+    return l1 - float(np.sum(r1 * r2))
+
+
+def loss(net, theta, theta_dot, theta_ddot, alpha_b, beta_b, cfg):
+    """The kernel's objective for one sensor measurement."""
+    value, _ = pn._batch_loss_and_grads(
+        net,
+        np.atleast_2d(theta),
+        np.atleast_2d(theta_dot),
+        np.atleast_2d(theta_ddot),
+        np.atleast_2d(alpha_b),
+        np.atleast_2d(beta_b),
+        cfg,
+        want_grads=False,
+    )
+    if not np.isfinite(value):
+        raise TrainingDivergedError("non-finite loss value")
+    return float(value)
+
+
 @pytest.fixture(scope="module")
 def small_net():
     return pn.init_pose_net(3, widths=(8, 8, 8), seed=1)
@@ -26,14 +140,14 @@ def small_net():
 class TestForward:
     def test_deterministic(self, small_net):
         theta = np.array([0.3, -0.2, 0.5])
-        a = pn.forward(small_net, theta)
-        b = pn.forward(small_net, theta)
+        a = forward(small_net, theta)
+        b = forward(small_net, theta)
         assert np.array_equal(a, b)
 
     def test_rotation_block_is_orthonormal(self, small_net):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            t = pn.forward(small_net, rng.uniform(-2, 2, 3))
+            t = forward(small_net, rng.uniform(-2, 2, 3))
             assert rm.is_rotation(t[:3, :3])
             assert np.array_equal(t[3], [0, 0, 0, 1])
 
@@ -45,19 +159,19 @@ class TestForward:
         net.head_t[0][:] = 0.0
         net.head_r[0][:] = 0.0
         # linear heads on zero weights output zero angles and translation
-        assert np.allclose(pn.forward(net, np.zeros(2)), np.eye(4))
+        assert np.allclose(forward(net, np.zeros(2)), np.eye(4))
 
     def test_head_angles_wrapped(self, small_net):
-        angles = pn.rotation_head_angles(small_net, np.array([0.1, 0.2, 0.3]))
+        angles = rotation_head_angles(small_net, np.array([0.1, 0.2, 0.3]))
         assert ((0 <= angles) & (angles < 2 * np.pi)).all()
 
 
 def _fd_time_derivatives(net, theta, theta_dot, theta_ddot, h):
     """Central differences of the forward map along theta_dot, plus
     theta_ddot for the curvature term; the homogeneous rows stay exact."""
-    f0 = pn.forward(net, theta)
-    fp, fm = pn.forward(net, theta + h * theta_dot), pn.forward(net, theta - h * theta_dot)
-    gp, gm = pn.forward(net, theta + h * theta_ddot), pn.forward(net, theta - h * theta_ddot)
+    f0 = forward(net, theta)
+    fp, fm = forward(net, theta + h * theta_dot), forward(net, theta - h * theta_dot)
+    gp, gm = forward(net, theta + h * theta_ddot), forward(net, theta - h * theta_ddot)
     td = (fp - fm) / (2.0 * h)
     tdd = (fp - 2.0 * f0 + fm) / h**2 + (gp - gm) / (2.0 * h)
     td[3] = 0.0
@@ -67,7 +181,7 @@ def _fd_time_derivatives(net, theta, theta_dot, theta_ddot, h):
 
 class TestTimeDerivatives:
     def test_zero_rates_zero_derivatives(self, small_net):
-        t, td, tdd = pn.time_derivatives(
+        t, td, tdd = time_derivatives(
             small_net, np.array([0.1, 0.2, 0.3]), np.zeros(3), np.zeros(3)
         )
         assert np.array_equal(td, np.zeros((4, 4)))
@@ -77,7 +191,7 @@ class TestTimeDerivatives:
         rng = np.random.default_rng(1)
         for _ in range(10):
             th, thd, thdd = (rng.normal(size=3) for _ in range(3))
-            ta, tda, tdda = pn.time_derivatives(small_net, th, thd, thdd)
+            ta, tda, tdda = time_derivatives(small_net, th, thd, thdd)
             tf, tdf, tddf = _fd_time_derivatives(small_net, th, thd, thdd, 1e-4)
             assert np.allclose(ta, tf)
             scale_d = max(np.abs(tda).max(), 1.0)
@@ -88,8 +202,8 @@ class TestTimeDerivatives:
     def test_first_derivative_linear_in_rates(self, small_net):
         rng = np.random.default_rng(2)
         th, thd = rng.normal(size=3), rng.normal(size=3)
-        _, td1, _ = pn.time_derivatives(small_net, th, thd, np.zeros(3))
-        _, td2, _ = pn.time_derivatives(small_net, th, 2 * thd, np.zeros(3))
+        _, td1, _ = time_derivatives(small_net, th, thd, np.zeros(3))
+        _, td2, _ = time_derivatives(small_net, th, 2 * thd, np.zeros(3))
         assert np.allclose(td2, 2 * td1, atol=1e-12)
 
 
@@ -102,7 +216,7 @@ class TestPoseJacobian:
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            d = (pn.forward(small_net, th + e) - pn.forward(small_net, th - e)) / (2 * h)
+            d = (forward(small_net, th + e) - forward(small_net, th - e)) / (2 * h)
             fd = np.concatenate([d[:3, 0], d[:3, 1], d[:3, 2], d[:3, 3]])
             assert np.abs(jac[:, k] - fd).max() < 1e-6
 
@@ -119,7 +233,7 @@ class TestLoss:
                 )
                 j = traj.sensor_ids.index("l1:0")
                 alpha, beta = traj.alpha[k, j], traj.beta[k, j]
-                value = pn.loss_from_pose(
+                value = loss_from_pose(
                     t, td, tdd, alpha, beta, ts=0.01, gravity_vector=gravity_vector
                 )
                 assert abs(value - (-3.0)) < 1e-9
@@ -130,7 +244,7 @@ class TestLoss:
         for _ in range(20):
             th, thd, thdd = (rng.normal(size=3) for _ in range(3))
             alpha, beta = rng.normal(size=3), rng.normal(size=3)
-            value = pn.loss(small_net, th, thd, thdd, alpha, beta, cfg)
+            value = loss(small_net, th, thd, thdd, alpha, beta, cfg)
             assert value >= -3.0 - 1e-9  # |res| >= 0 and tr(R1^T R2) <= 3
 
     def test_gradients_match_finite_differences(self):
@@ -219,10 +333,10 @@ class TestClosedFormHead:
     def test_case_reaches_its_regime(self, case):
         net, (th, thd, thdd, _, _), cfg = _head_case(case)
         x, u, _, _ = pn._mlp_streams(net, th, thd, thdd)
-        ang = pn._head_outputs(net, x, u, u)[3]
+        ang = _head_outputs(net, x, u, u)[3]
         sigma = []
         for k in range(len(th)):
-            t, td, _ = pn.time_derivatives(net, th[k], thd[k], thdd[k])
+            t, td, _ = time_derivatives(net, th[k], thd[k], thdd[k])
             sigma.append(np.linalg.norm(rm.vee_antisym(t[:3, :3].T @ td[:3, :3])))
         small = np.array(sigma) * cfg.ts < pn._SERIES_SWITCH
         if case.startswith("pitch"):
@@ -234,11 +348,11 @@ class TestClosedFormHead:
     def test_loss_equals_matrix_reference(self, case):
         net, batch, cfg = _head_case(case)
         for th, thd, thdd, alpha, beta in zip(*batch):
-            want = pn.loss_from_pose(
-                *pn.time_derivatives(net, th, thd, thdd),
+            want = loss_from_pose(
+                *time_derivatives(net, th, thd, thdd),
                 alpha, beta, cfg.ts, cfg.gravity_vector,
             )
-            got = pn.loss(net, th, thd, thdd, alpha, beta, cfg)
+            got = loss(net, th, thd, thdd, alpha, beta, cfg)
             assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("case", HEAD_CASES)
@@ -329,7 +443,7 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError):
             pn.train(net, dataset, short)
         with pytest.raises(TrainingDivergedError):
-            pn.loss(
+            loss(
                 net,
                 dataset.theta[0],
                 dataset.theta_dot[0],
@@ -531,4 +645,4 @@ class TestSerialization:
         pn.save_net(small_net, path)
         loaded = pn.load_net(path)
         theta = np.array([0.2, -0.4, 0.6])
-        assert np.allclose(pn.forward(loaded, theta), pn.forward(small_net, theta))
+        assert np.allclose(forward(loaded, theta), forward(small_net, theta))

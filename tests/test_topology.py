@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,39 @@ class TestOperations:
                 assert tp.tree_to_matrix(tp.absorption_tree(t, j, i)) == (
                     tp.absorption_matrix(m, j, i)
                 )
+
+    @given(random_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_dilation_of_root_leaf_commutes(self, t):
+        # every leaf under the root moves under every other node: the
+        # matrix move is the tree move, and it changes the matrix
+        m = tp.tree_to_matrix(t)
+        for i in t.leaves():
+            if t.parent(i) is not None:
+                continue
+            for j in t.nodes:
+                if j == i:
+                    continue
+                moved = tp.dilation_matrix(m, i, j)
+                assert moved == tp.tree_to_matrix(tp.dilation_tree(t, i, j))
+                assert moved != m
+
+    def test_dilation_needs_no_disjointness_guard(self):
+        # on every 3x3 0/1 matrix and ordered pair of rows, the move equals
+        # the one that also refused rows i and j sharing a 1
+        labels = ("r1", "r2", "r3")
+        for bits in itertools.product([0, 1], repeat=9):
+            values = np.array(bits, dtype=np.int8).reshape(3, 3)
+            m = tp.DependencyMatrix(labels, ("c1", "c2", "c3"), values)
+            for i, j in itertools.permutations(range(3), 2):
+                ri, rj = values[i], values[j]
+                guarded = ri.sum() == 1 and values[:, np.argmax(ri)].sum() == 1
+                assert not (guarded and (ri & rj).any())
+                want = values.copy()
+                if guarded:
+                    want[i] = ri ^ rj
+                got = tp.dilation_matrix(m, labels[i], labels[j])
+                assert np.array_equal(got.values, want)
 
     def test_guard_failure_is_identity(self):
         m = five_node_matrix()
