@@ -54,12 +54,14 @@ def _write_json(path, doc) -> None:
 
 def _manifest(args, manifest: ExperimentManifest | None = None) -> ExperimentManifest:
     """``manifest`` (default: all defaults) with every given flag whose dest
-    is a manifest field copied over; ``--gravity on|off`` becomes a bool."""
+    is a manifest field copied over; ``--gravity on|off`` becomes a bool.
+    The result is checked like a manifest file."""
     if manifest is None:
         manifest = ExperimentManifest()
     for name, value in vars(args).items():
         if name in ExperimentManifest.__dataclass_fields__ and value is not None:
             setattr(manifest, name, value == "on" if name == "gravity" else value)
+    manifest._check_values()
     return manifest
 
 

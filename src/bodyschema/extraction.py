@@ -6,8 +6,8 @@ is invariant to any constant change of reference frame, so its zero columns
 identify joints the sensor does not depend on regardless of where the pose
 map anchors itself.  Aggregating the squashed Jacobian over many sampled
 configurations, max-filtering, normalizing and thresholding yields one
-binary dependency row per sensor; clustering merges near-duplicate rows and
-a separation objective helps pick the threshold.
+binary dependency row per sensor; sensors with identical rows form one group,
+and a separation objective helps pick the threshold.
 """
 
 from __future__ import annotations
@@ -73,14 +73,14 @@ def threshold(dprime: np.ndarray, delta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Row clustering
+# Row grouping
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ClusterResult:
-    assignments: np.ndarray  # (n,) cluster index per row
-    means: np.ndarray  # (k, d) cluster means (empirical, hard assignment)
+    assignments: np.ndarray  # (n,) group index per row
+    means: np.ndarray  # (k, d) the row each group shares
     counts: np.ndarray  # (k,)
 
     @property
@@ -88,93 +88,48 @@ class ClusterResult:
         return len(self.counts)
 
 
-def _dp_means(x: np.ndarray, penalty: float, max_iter: int = 100) -> np.ndarray:
-    """Deterministic hard-assignment clustering: a row farther than the
-    penalty (squared distance) from every center spawns a new one."""
-    centers = [x[0]]
-    labels = np.zeros(len(x), dtype=int)
-    for _ in range(max_iter):
-        changed = False
-        for i, row in enumerate(x):
-            d2 = np.array([float(((row - c) ** 2).sum()) for c in centers])
-            j = int(np.argmin(d2))
-            if d2[j] > penalty:
-                centers.append(row.copy())
-                j = len(centers) - 1
-            if labels[i] != j:
-                labels[i] = j
-                changed = True
-        centers = [
-            x[labels == k].mean(axis=0) for k in range(len(centers))
-            if (labels == k).any()
-        ]
-        labels = _compact_labels(labels)
-        if not changed:
-            break
-    return labels
+def cluster_rows(features) -> ClusterResult:
+    """Group identical dependency rows, numbering the groups in order of
+    first appearance; returns each group's row and size.
 
-
-def _compact_labels(labels: np.ndarray) -> np.ndarray:
-    uniq = sorted(set(int(v) for v in labels))
-    remap = {old: new for new, old in enumerate(uniq)}
-    return np.array([remap[int(v)] for v in labels])
-
-
-def cluster_rows(features, alpha: float = 1.0) -> ClusterResult:
-    """Cluster dependency rows by DP-means; returns per-cluster means and
-    sizes.  The spawn penalty shrinks as the concentration alpha grows."""
+    This is what DP-means returns on 0/1 rows for any concentration: its
+    spawn penalty is below 1 and distinct 0/1 rows are at squared distance
+    1 or more (``notes/decisions.md``, "Row grouping")."""
     x = np.asarray([np.asarray(f, dtype=float) for f in features])
     if x.ndim != 2 or len(x) < 1:
         raise ValueError("need at least one feature row")
-    labels = _dp_means(x, penalty=1.0 / (1.0 + alpha))
-    k = int(labels.max()) + 1  # the labels are compact: 0 .. k-1
-    means = np.stack([x[labels == c].mean(axis=0) for c in range(k)])
-    counts = np.array([int((labels == c).sum()) for c in range(k)])
-    return ClusterResult(labels, means, counts)
+    rows, first, inverse, counts = np.unique(
+        x, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # NumPy 2.0.0 shapes the inverse (n, 1) when an axis is given
+    return ClusterResult(rank[inverse.reshape(-1)], rows[order], counts[order])
 
 
-def reduce_rows(
-    clusters: ClusterResult, max_rows: int
-) -> list[tuple[np.ndarray, list[int]]]:
-    """Keep at most ``max_rows`` cluster means, largest clusters first, and
-    binarize each at 0.5.  Returns ``(row, cluster_indices)`` pairs: the
-    first index is the cluster that kept the row, any later ones are
-    clusters whose mean binarized to the same row."""
+def reduce_rows(groups: ClusterResult, max_rows: int) -> list[int]:
+    """Indices of at most ``max_rows`` groups, largest first; groups of
+    equal size go in the order of their rows."""
     if max_rows < 1:
         raise ValueError("max_rows must be positive")
     order = sorted(
-        range(clusters.n_clusters),
-        key=lambda k: (-int(clusters.counts[k]), clusters.means[k].tolist()),
+        range(groups.n_clusters),
+        key=lambda k: (-int(groups.counts[k]), groups.means[k].tolist()),
     )
-    out: list[tuple[np.ndarray, list[int]]] = []
-    index_of: dict[bytes, int] = {}
-    for k in order[:max_rows]:
-        row = (clusters.means[k] > 0.5).astype(np.int8)
-        key = row.tobytes()
-        if key in index_of:
-            out[index_of[key]][1].append(k)
-        else:
-            index_of[key] = len(out)
-            out.append((row, [k]))
-    return out
+    return order[:max_rows]
 
 
-def separation_score(rows, clusters: ClusterResult, lam: float) -> float:
+def separation_score(groups: ClusterResult, lam: float) -> float:
     """Separation objective for one candidate threshold: |det| of the
-    pairwise cluster-mean distance matrix over the within-cluster squared
-    dispersion, plus lam times the cluster-size entropy.  The distance
-    matrix is not sign-definite, so the absolute determinant is used."""
-    mu = clusters.means
+    pairwise group-row distance matrix over the within-group squared
+    dispersion, plus lam times the group-size entropy.  Exact groups have
+    no dispersion, so its floor 1e-12 is the divisor.  The distance matrix
+    is not sign-definite, so the absolute determinant is used."""
+    mu = groups.means
     s = np.linalg.norm(mu[:, None, :] - mu[None, :, :], axis=2)
-    x = np.asarray(rows, dtype=float)
-    m = 0.0
-    for c in range(clusters.n_clusters):
-        member = x[clusters.assignments == c]
-        m += float(((member - mu[c]) ** 2).sum())
-    p = clusters.counts / clusters.counts.sum()
-    return abs(float(np.linalg.det(s))) / max(m, 1e-12) - lam * float(
-        np.sum(p * np.log(p))
-    )
+    p = groups.counts / groups.counts.sum()
+    return abs(float(np.linalg.det(s))) / 1e-12 - lam * float(np.sum(p * np.log(p)))
 
 
 def build_matrix(features, labels, col_labels) -> DependencyMatrix:

@@ -37,7 +37,7 @@ _INTEGERS = {
     "theta_samples": 2,  # tij_aggregate needs two configurations
     "delta_grid_size": 1,
 }
-_POSITIVE = ("duration", "rate", "learning_rate", "alpha_dp")
+_POSITIVE = ("duration", "rate", "learning_rate")
 _NON_NEGATIVE = ("sigma_alpha", "sigma_beta", "lam")
 
 
@@ -71,7 +71,6 @@ class ExperimentManifest:
     delta_grid_size: int = 50
     delta_grid_max: float = 0.5  # beyond 0.5 no depth>=4 feature can survive
     lam: float = 1.0
-    alpha_dp: float = 1.0
     # plumbing
     out_dir: str | None = None
 
@@ -267,27 +266,23 @@ def _majority_label(sensor_ids, spec) -> str:
 
 
 def _assemble_matrix(dprimes: dict[str, np.ndarray], delta, spec, manifest):
-    """Threshold, cluster, reduce and label the per-sensor features.
+    """Threshold, group, reduce and label the per-sensor features.
 
-    Returns the matrix, the cluster purity, the thresholded rows in
-    ``sorted(dprimes)`` order and their clustering (``None`` outside learned
-    mode, where every sensor keeps its own row)."""
+    Returns the matrix, the cluster purity and the groups of identical rows
+    (``None`` outside learned mode, where every sensor keeps its own row)."""
     sensor_ids = sorted(dprimes)
     rows = [extraction.threshold(dprimes[s], delta) for s in sensor_ids]
     if manifest.mode == "learned":
-        clusters = extraction.cluster_rows(rows, alpha=manifest.alpha_dp)
+        clusters = extraction.cluster_rows(rows)
         features, labels, members = [], [], []
-        for row, ks in extraction.reduce_rows(clusters, spec.n_joints):
-            groups = [
-                [s for s, a in zip(sensor_ids, clusters.assignments) if a == k]
-                for k in ks
-            ]
-            label = _majority_label(groups[0], spec)
+        for k in extraction.reduce_rows(clusters, spec.n_joints):
+            group = [s for s, a in zip(sensor_ids, clusters.assignments) if a == k]
+            label = _majority_label(group, spec)
             while label in labels:
                 label += "+"
-            features.append(row)
+            features.append(clusters.means[k])
             labels.append(label)
-            members.append([s for group in groups for s in group])
+            members.append(group)
         purity_num = sum(
             Counter(spec.sensor_link(s) for s in ms).most_common(1)[0][1]
             for ms in members
@@ -307,15 +302,15 @@ def _assemble_matrix(dprimes: dict[str, np.ndarray], delta, spec, manifest):
             matrix = DependencyMatrix(
                 relabeled, matrix.col_labels, matrix.values, matrix.merged_groups
             )
-    return matrix, purity, rows, clusters
+    return matrix, purity, clusters
 
 
 def _candidate(dprimes, delta: float, spec, manifest):
     """The canonical key and separation score of the matrix at ``delta``, or
-    ``(None, -inf)`` when it has one cluster, no nonzero row, or fails the
-    condition set (the partial one when rows are missing)."""
+    ``(None, -inf)`` when all rows form one group, no row is nonzero, or the
+    matrix fails the condition set (the partial one when rows are missing)."""
     try:
-        matrix, _, rows, clusters = _assemble_matrix(dprimes, delta, spec, manifest)
+        matrix, _, clusters = _assemble_matrix(dprimes, delta, spec, manifest)
     except DegenerateSensorError:
         return None, -np.inf
     if clusters.n_clusters < 2:
@@ -324,27 +319,27 @@ def _candidate(dprimes, delta: float, spec, manifest):
     full = matrix.shape[0] == spec.n_joints
     if not (report.satisfies_P if full else report.satisfies_Pminus):
         return None, -np.inf
-    return matrix.canonical_key(), extraction.separation_score(rows, clusters, manifest.lam)
+    return matrix.canonical_key(), extraction.separation_score(clusters, manifest.lam)
 
 
 def _select_delta(dprimes, spec, manifest: ExperimentManifest) -> float:
     """Threshold selection for a full run.
 
-    The separation objective alone cannot rank thresholds here: clean
-    duplicate rows make every candidate's dispersion zero, and a threshold
+    The separation objective alone cannot rank thresholds here: groups of
+    identical rows make every candidate's dispersion zero, and a threshold
     that merely truncates nested rows can even leave a valid tree matrix,
     so the score neither sees the damage nor the repair stage catches it.
     What does distinguish the right threshold is persistence: the true
     matrix survives over the whole gap between the largest spurious entry
     and the weakest genuine one, while truncation artifacts live on thin
     slivers.  So every grid point runs the extraction stage of the full
-    run once (``_assemble_matrix``: threshold, cluster, reduce, label), and
-    its matrix is a candidate when the clustering found at least two
-    clusters and the matrix passes downstream consistency (full condition
-    set, or the partial one when rows are missing).  Consecutive
-    thresholds yielding the identical matrix form a run, and the longest
-    run wins -- the separation score of that same clustering, then the
-    smaller threshold, as tie breaks.  The winning run's first threshold
+    run once (``_assemble_matrix``: threshold, group, reduce, label), and
+    its matrix is a candidate when the rows form at least two groups and
+    the matrix passes downstream consistency (full condition set, or the
+    partial one when rows are missing).  Consecutive thresholds yielding
+    the identical matrix form a run, and the longest run wins -- the
+    separation score of those same groups, then the smaller threshold, as
+    tie breaks.  The winning run's first threshold
     is returned.  With nothing valid anywhere the mid-band default 0.3 is
     used.
     """
@@ -460,7 +455,7 @@ def run_pipeline(manifest: ExperimentManifest) -> RunReport:
         delta = manifest.delta
     else:
         delta = _select_delta(dprimes, spec, manifest)
-    matrix, purity, _, _ = _assemble_matrix(dprimes, delta, spec, manifest)
+    matrix, purity, _ = _assemble_matrix(dprimes, delta, spec, manifest)
     if out_dir:
         (out_dir / "matrix.json").write_text(json.dumps(matrix.to_json_dict(), indent=1))
     repaired, completed, unique, corrected, candidates = _repair(matrix, manifest)

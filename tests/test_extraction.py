@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodyschema import chain, extraction as ex, rigid_motion as rm, robots
 from bodyschema import topology as tp
@@ -167,6 +169,52 @@ class TestThreshold:
             ex.threshold(np.array([0.5]), 0.0)
 
 
+def _reference_dp_means(features, alpha):
+    """DP-means (Kulis and Jordan, 2012) as the pipeline ran it before exact
+    grouping: deterministic hard assignment, where a row farther than the
+    penalty 1 / (1 + alpha) (squared distance) from every center spawns a
+    new one.  Returns the labels, the per-cluster means and the counts."""
+    x = np.asarray([np.asarray(f, dtype=float) for f in features])
+    penalty = 1.0 / (1.0 + alpha)
+
+    def compact(labels):
+        uniq = sorted(set(int(v) for v in labels))
+        remap = {old: new for new, old in enumerate(uniq)}
+        return np.array([remap[int(v)] for v in labels])
+
+    centers = [x[0]]
+    labels = np.zeros(len(x), dtype=int)
+    for _ in range(100):
+        changed = False
+        for i, row in enumerate(x):
+            d2 = np.array([float(((row - c) ** 2).sum()) for c in centers])
+            j = int(np.argmin(d2))
+            if d2[j] > penalty:
+                centers.append(row.copy())
+                j = len(centers) - 1
+            if labels[i] != j:
+                labels[i] = j
+                changed = True
+        centers = [
+            x[labels == k].mean(axis=0) for k in range(len(centers))
+            if (labels == k).any()
+        ]
+        labels = compact(labels)
+        if not changed:
+            break
+    k = int(labels.max()) + 1
+    means = np.stack([x[labels == c].mean(axis=0) for c in range(k)])
+    counts = np.array([int((labels == c).sum()) for c in range(k)])
+    return labels, means, counts
+
+
+binary_rows = st.integers(1, 6).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=1, max_size=14
+    )
+)
+
+
 class TestClustering:
     def test_identical_rows_single_cluster(self):
         rows = [np.array([1.0, 0.0, 1.0])] * 6
@@ -194,60 +242,63 @@ class TestClustering:
         result = ex.cluster_rows(rows)
         assert 1 <= result.n_clusters <= 12
 
+    @given(binary_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_binary_rows_group_like_dp_means(self, rows):
+        rows = [np.array(r, dtype=np.int8) for r in rows]
+        result = ex.cluster_rows(rows)
+        for alpha in (0.01, 1.0, 100.0):
+            labels, means, counts = _reference_dp_means(rows, alpha)
+            assert np.array_equal(result.assignments, labels)
+            assert np.array_equal(result.means, means)
+            assert np.array_equal(result.counts, counts)
+        # labels in order of first appearance
+        _, first = np.unique(result.assignments, return_index=True)
+        assert np.all(np.diff(first) > 0)
+
 
 class TestReduceRows:
     def test_exact_duplicates_reduce_to_distinct(self):
         rows = [np.array([1, 0, 0]), np.array([1, 0, 0]), np.array([1, 1, 0])]
         clusters = ex.cluster_rows(rows)
-        reduced = ex.reduce_rows(clusters, 3)
-        assert sorted(tuple(r) for r, _ in reduced) == [(1, 0, 0), (1, 1, 0)]
+        kept = ex.reduce_rows(clusters, 3)
+        assert kept == [0, 1]
+        assert clusters.means[kept].tolist() == [[1, 0, 0], [1, 1, 0]]
 
-    def test_mean_binarization(self):
-        clusters = ex.ClusterResult(
-            np.array([0, 0]), np.array([[0.9, 0.1, 0.8]]), np.array([2])
-        )
-        row, ks = ex.reduce_rows(clusters, 5)[0]
-        assert row.tolist() == [1, 0, 1]
-        assert ks == [0]
+    def test_largest_first_then_by_row(self):
+        # groups by first appearance: [1,1,0] x2, [0,1,0] x2, [1,0,0] x1,
+        # [0,0,1] x3; the two groups of two go in the order of their rows
+        rows = [
+            [1, 1, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0],
+            [1, 1, 0], [0, 0, 1], [0, 0, 1], [0, 0, 1],
+        ]
+        clusters = ex.cluster_rows([np.array(r) for r in rows])
+        assert clusters.counts.tolist() == [2, 2, 1, 3]
+        assert ex.reduce_rows(clusters, 4) == [3, 1, 0, 2]
+        assert ex.reduce_rows(clusters, 2) == [3, 1]
 
     def test_row_budget(self):
         rows = [np.eye(4)[k] for k in range(4)]
         clusters = ex.cluster_rows(rows)
         assert len(ex.reduce_rows(clusters, 2)) <= 2
 
-    def test_same_binarized_row_merges_cluster_indices(self):
-        # clusters 0 and 2 have different means that both binarize to
-        # [1, 0, 1]; the larger one keeps the row, the other is merged in
-        clusters = ex.ClusterResult(
-            np.array([0, 0, 1, 2, 2, 2]),
-            np.array([[0.9, 0.1, 0.8], [0.0, 1.0, 0.0], [0.6, 0.4, 0.7]]),
-            np.array([2, 1, 3]),
-        )
-        reduced = ex.reduce_rows(clusters, 3)
-        assert [(r.tolist(), ks) for r, ks in reduced] == [
-            ([1, 0, 1], [2, 0]),
-            ([0, 1, 0], [1]),
-        ]
-
 
 class TestSeparationScore:
     """The separation objective that δ selection breaks ties with."""
 
     def test_lambda_zero_drops_entropy_term(self):
-        # positive within-cluster dispersion keeps the determinant term small
-        # enough that the entropy difference is representable
-        rows = [
-            np.array([1.0, 0.0]),
-            np.array([0.8, 0.2]),
-            np.array([0.0, 1.0]),
-            np.array([0.2, 0.8]),
-        ]
+        # two groups at Hamming distance 1: |det| = 1, the least distinct
+        # 0/1 rows allow, so the determinant term is 1e12 and the entropy
+        # difference is representable to within its spacing
+        rows = [np.array([1, 0, 0])] * 3 + [np.array([1, 1, 0])]
         clusters = ex.cluster_rows(rows)
         assert clusters.n_clusters == 2
-        with_ent = ex.separation_score(rows, clusters, 1.0)
-        without = ex.separation_score(rows, clusters, 0.0)
+        with_ent = ex.separation_score(clusters, 1.0)
+        without = ex.separation_score(clusters, 0.0)
+        assert without == 1.0 / 1e-12
         p = clusters.counts / clusters.counts.sum()
-        assert np.isclose(with_ent - without, -float(np.sum(p * np.log(p))))
+        entropy = -float(np.sum(p * np.log(p)))
+        assert abs((with_ent - without) - entropy) <= np.spacing(without)
 
 
 class TestTrainedNetInvariance:

@@ -74,6 +74,7 @@ class TestPipeline:
             ("aggregate", "rms"),
             ("optimizer", "adam"),
             ("momentum", 0.0),
+            ("alpha_dp", 1.0),
         ]:
             path.write_text(json.dumps({**ExperimentManifest().to_json_dict(), key: value}))
             with pytest.raises(SchemaError, match=key):
@@ -149,7 +150,7 @@ class TestPipeline:
         monkeypatch.setattr(extraction, "cluster_rows", counting)
         delta = pipeline._select_delta(dprimes, spec, manifest)
         assert len(calls) == manifest.delta_grid_size
-        matrix, purity, _, _ = pipeline._assemble_matrix(dprimes, delta, spec, manifest)
+        matrix, purity, _ = pipeline._assemble_matrix(dprimes, delta, spec, manifest)
         assert tp.matrix_to_tree(matrix) == spec.topology
         assert purity == 1.0
 
@@ -385,6 +386,29 @@ class TestCli:
         assert cli.main(["run", "--manifest", str(path)]) == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith("schema error") and repr(bad) in err
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["run", "--robot", "robot6", "--delta", "1.5"], "delta"),
+            (["run", "--robot", "robot6", "--seed", "-1"], "seed"),
+            (["extract", "--delta", "0"], "delta"),
+            (["extract", "--theta-samples", "1"], "theta_samples"),
+        ],
+        ids=["run-delta", "run-seed", "extract-delta", "extract-theta-samples"],
+    )
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, argv, bad):
+        # a flag is checked like the manifest field it sets: exit 2 naming
+        # the field, before any file is read or written
+        if argv[0] == "extract":
+            robot = tmp_path / "robot.json"
+            cli.main(["generate", "--robot", "robot6", "--out", str(robot)])
+            argv = argv + ["--spec", str(robot), "--out", str(tmp_path / "m.json")]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error") and repr(bad) in err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
         "case, named",
