@@ -81,7 +81,8 @@ def _load_trajectory(path, spec: chain.RobotSpec, sensors=()) -> chain.Trajector
 
 
 def cmd_generate(args) -> int:
-    spec = robots.builtin_robot(args.robot, sensors_per_link=args.sensors_per_link)
+    manifest = _manifest(args)
+    spec = robots.builtin_robot(manifest.robot, sensors_per_link=manifest.sensors_per_link)
     chain.save_robot(spec, args.out)
     print(f"wrote {args.out}: {args.robot} with {len(spec.sensor_ids)} sensors")
     return 0

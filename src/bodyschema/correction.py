@@ -2,11 +2,11 @@
 
 A matrix that satisfies no tree (noise flipped some entries) is replaced by
 the nearest valid one: first find the permutation matrix sharing the most
-1-entries -- the binary-program objective collapses to a linear assignment
-problem solved exactly -- then grow candidate trees from it by one-step
-dilations, keeping the set of minimum-Hamming-distance matrices each round
-and stopping when the minimum stops improving.  Every candidate returned is
-a valid tree matrix.
+1-entries -- the binary-program objective collapses to an assignment problem
+with 0/1 costs, which is a maximum bipartite matching solved exactly -- then
+grow candidate trees from it by one-step dilations, keeping the set of
+minimum-Hamming-distance matrices each round and stopping when the minimum
+stops improving.  Every candidate returned is a valid tree matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .completion import fresh_labels
 from .topology import DependencyMatrix, check_conditions
@@ -36,42 +35,51 @@ def hamming(a: DependencyMatrix, b: DependencyMatrix) -> int:
     return int((ca.values != cb.values).sum())
 
 
-def _assignment_value(cost: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+def _max_overlap(adj: list[list[int]], rows, cols) -> int:
+    """Size of a maximum matching of ``rows`` into ``cols``, where row i may
+    take the columns ``adj[i]`` (Kuhn's augmenting paths)."""
+    free = set(cols)
+    owner: dict[int, int] = {}
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in adj[i]:
+            if j in free and j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in rows)
 
 
 def nearest_permutation(d: DependencyMatrix) -> DependencyMatrix:
     """Permutation matrix maximizing the overlap with d's 1-entries.
 
-    Solved exactly as a linear assignment; among equally good permutations
-    the lexicographically smallest assignment (in canonical label order) is
-    returned, fixed greedily column by column with the solver as the
-    optimality oracle.
+    With 0/1 costs the assignment problem is a maximum bipartite matching,
+    solved exactly; among equally good permutations the lexicographically
+    smallest assignment (in canonical label order) is returned, fixed
+    greedily column by column with the matching size as the optimality
+    oracle.
     """
     k, n = d.shape
     if k != n:
         raise ValueError("nearest_permutation needs a square matrix")
     c = d.canonical()
-    vals = c.values.astype(float)
-    best = -_assignment_value(-vals)
+    adj = [np.flatnonzero(row).tolist() for row in c.values]
+    best = _max_overlap(adj, range(n), range(n))
 
     chosen: list[int] = []
     remaining = list(range(n))
-    fixed_value = 0.0
+    fixed_value = 0
     for i in range(n):
         for cand in sorted(remaining):
-            rest_rows = list(range(i + 1, n))
-            rest_cols = [j for j in remaining if j != cand]
-            rest = (
-                -_assignment_value(-vals[np.ix_(rest_rows, rest_cols)])
-                if rest_rows
-                else 0.0
-            )
-            if fixed_value + vals[i, cand] + rest >= best - 1e-9:
+            gain = int(c.values[i, cand])
+            rest = _max_overlap(adj, range(i + 1, n), [j for j in remaining if j != cand])
+            if fixed_value + gain + rest >= best:
                 chosen.append(cand)
                 remaining.remove(cand)
-                fixed_value += vals[i, cand]
+                fixed_value += gain
                 break
     perm = np.zeros((n, n), dtype=np.int8)
     for i, j in enumerate(chosen):

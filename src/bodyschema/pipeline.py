@@ -103,6 +103,8 @@ class ExperimentManifest:
             value = getattr(self, name)
             if not (_is_real(value) and isinstance(value, int) and value >= least):
                 fail(name, f"an integer >= {least}")
+        if self.sensors_per_link > robots.MAX_SENSORS_PER_LINK:
+            fail("sensors_per_link", f"an integer in 1..{robots.MAX_SENSORS_PER_LINK}")
         for name in _POSITIVE:
             value = getattr(self, name)
             if not (_is_real(value) and value > 0):

@@ -58,6 +58,10 @@ BUILTIN_TOPOLOGIES = {
 
 BUILTIN_NAMES = tuple(sorted(BUILTIN_TOPOLOGIES))
 
+# the most sensors ``builtin_robot`` mounts on one link; manifests are checked
+# against it
+MAX_SENSORS_PER_LINK = 12
+
 _AXES = (
     np.array([0.0, 0.0, 1.0]),
     np.array([0.0, 1.0, 0.0]),
@@ -92,8 +96,8 @@ def builtin_robot(
     """
     if name not in BUILTIN_TOPOLOGIES:
         raise ValueError(f"unknown robot {name!r}; choose from {BUILTIN_NAMES}")
-    if not 1 <= sensors_per_link <= 12:
-        raise ValueError("sensors_per_link must be in 1..12")
+    if not 1 <= sensors_per_link <= MAX_SENSORS_PER_LINK:
+        raise ValueError(f"sensors_per_link must be in 1..{MAX_SENSORS_PER_LINK}")
     topo = OutTree(BUILTIN_TOPOLOGIES[name])
     joints: dict[str, Joint] = {}
     for node in topo.nodes:

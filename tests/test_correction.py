@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +60,42 @@ def _reference_trellis(d: tp.DependencyMatrix, beam_cap=None) -> co.CorrectionRe
         beam = {key: scored[key][1] for key in winners}
     candidates = tuple(beam[key] for key in sorted(beam))
     return co.CorrectionResult(candidates, g, rounds, capped)
+
+
+def _reference_nearest_permutation(d: tp.DependencyMatrix) -> tp.DependencyMatrix:
+    """The nearest permutation with scipy's linear assignment solver as the
+    optimality oracle of the greedy search."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+    def assignment_value(cost):
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].sum())
+
+    k, n = d.shape
+    c = d.canonical()
+    vals = c.values.astype(float)
+    best = -assignment_value(-vals)
+    chosen: list[int] = []
+    remaining = list(range(n))
+    fixed_value = 0.0
+    for i in range(n):
+        for cand in sorted(remaining):
+            rest_rows = list(range(i + 1, n))
+            rest_cols = [j for j in remaining if j != cand]
+            rest = (
+                -assignment_value(-vals[np.ix_(rest_rows, rest_cols)])
+                if rest_rows
+                else 0.0
+            )
+            if fixed_value + vals[i, cand] + rest >= best - 1e-9:
+                chosen.append(cand)
+                remaining.remove(cand)
+                fixed_value += vals[i, cand]
+                break
+    perm = np.zeros((n, n), dtype=np.int8)
+    for i, j in enumerate(chosen):
+        perm[i, j] = 1
+    return tp.DependencyMatrix(c.row_labels, c.col_labels, perm)
 
 
 def assert_same_result(got: co.CorrectionResult, want: co.CorrectionResult):
@@ -191,6 +230,35 @@ class TestNearestPermutation:
         )
         with pytest.raises(ValueError):
             co.nearest_permutation(d)
+
+    def test_equals_linear_assignment_reference(self):
+        # the matching size is the assignment's optimal value, so the greedy
+        # search picks the same permutation as with scipy as its oracle
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            n = int(rng.integers(1, 11))
+            vals = (rng.random((n, n)) < rng.uniform(0.05, 0.95)).astype(np.int8)
+            d = tp.DependencyMatrix(
+                tuple(f"r{i}" for i in rng.permutation(n)),
+                tuple(f"c{i}" for i in rng.permutation(n)),
+                vals,
+            )
+            got, want = co.nearest_permutation(d), _reference_nearest_permutation(d)
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+            assert np.array_equal(got.values, want.values)
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so that no other test's import is counted
+    src = str(Path(co.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bodyschema, bodyschema.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestTrellis:

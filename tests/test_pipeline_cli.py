@@ -375,8 +375,10 @@ class TestCli:
             ("trajectory_mode", {"trajectory_mode": "nope"}),
             ("duration", {"mode": "learned", "duration": -1}),
             ("sensors_per_link", {"sensors_per_link": "two"}),
+            ("sensors_per_link", {"robot": "robot2", "sensors_per_link": 13}),
         ],
-        ids=["mode", "trajectory_mode", "duration", "sensors_per_link"],
+        ids=["mode", "trajectory_mode", "duration", "sensors_per_link",
+             "sensors_per_link-above-max"],
     )
     def test_run_manifest_bad_value_exit_code(self, tmp_path, capsys, bad, fields):
         # a value the pipeline cannot run with is a malformed manifest, caught
@@ -386,6 +388,15 @@ class TestCli:
         assert cli.main(["run", "--manifest", str(path)]) == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith("schema error") and repr(bad) in err
+
+    @pytest.mark.parametrize("count", ["0", "13"])
+    def test_generate_sensors_per_link_out_of_range_exit_code(self, tmp_path, capsys, count):
+        out = tmp_path / "robot.json"
+        argv = ["generate", "--robot", "robot2", "--sensors-per-link", count, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error") and "'sensors_per_link'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, bad",
